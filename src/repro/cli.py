@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .platforms import PLATFORMS
 from .resources import resource_table
+from .sim.kernel import PARALLEL_BACKENDS
 from .system import (
     measure_access_time,
     measure_channel_latencies,
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sharded tick-engine worker count (0 = "
                              "serial; default: REPRO_PARALLEL env var)")
     parser.add_argument("--parallel-backend", default=None,
-                        choices=("auto", "inline", "threads", "processes"),
+                        choices=PARALLEL_BACKENDS,
                         help="sharded tick-engine backend (default: "
                              "REPRO_PARALLEL_BACKEND env var, or auto)")
     parser.add_argument("--tlm", action="store_true",
@@ -296,8 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     _platform(args.platform)   # validate once, before any work
+    if args.parallel is not None and args.parallel < 0:
+        parser.error("--parallel must be >= 0")
+    if args.tlm and args.parallel:
+        parser.error("--tlm cannot be combined with --parallel N > 0")
     if args.parallel_backend is not None:
         # the builder reads the env var, so one flag reaches every
         # simulator any experiment constructs (same plumbing as

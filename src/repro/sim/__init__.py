@@ -19,8 +19,7 @@ from .events import (EventBus, GrantRevocationEvent, PortFaultEvent,
                      PortRecoveryEvent)
 from .kernel import Simulator
 from .parallel import ParallelEngine, measured_backend
-from .partition import ProcessShardInfo, ShardPlan, Stage, build_plan
-from .procpool import ProcessShardPool
+from .partition import ShardPlan, Stage, build_plan
 from .stats import (
     Histogram,
     KernelSkipStats,
@@ -55,8 +54,6 @@ __all__ = [
     "WakeHeap",
     "ParallelEngine",
     "measured_backend",
-    "ProcessShardInfo",
-    "ProcessShardPool",
     "ShardPlan",
     "Stage",
     "build_plan",

@@ -132,59 +132,6 @@ class Component:
         """
         return None
 
-    # ------------------------------------------------------------------
-    # processes-backend contract (shard export)
-    # ------------------------------------------------------------------
-
-    def process_exportable(self) -> bool:
-        """May this component tick inside a worker *process*?
-
-        ``True`` is a promise on top of :meth:`shard_affinity`: the
-        component's entire tick-phase footprint is (a) its own picklable
-        state, exported and imported losslessly via :meth:`export_state`
-        / :meth:`import_state`, and (b) the channels it declared through
-        :meth:`wake_channels` and :meth:`pushes_channels`, whose payloads
-        are plain picklable values (no identity-shared mutable objects —
-        a beat mutated after push would diverge between processes).  It
-        must not call methods on foreign components, publish events it
-        expects other shards to observe mid-epoch, or read ``self.sim``
-        state beyond the cycle number.
-
-        The default ``False`` keeps every existing component on the
-        threads/inline path; the partitioner only offers a shard to the
-        ``processes`` backend when *all* of its members opt in.
-        """
-        return False
-
-    def pushes_channels(self) -> "list | None":
-        """Channels this component pushes to (the output footprint).
-
-        The partitioner knows a component's *input* footprint from
-        :meth:`wake_channels`; the processes backend additionally needs
-        the outputs to classify boundary-channel direction (a shard that
-        pushes to a channel the hub watches ships frames out; a shard
-        that only watches a hub-fed channel ships frames in).  ``None``
-        (the default) means "unknown" and, like ``process_exportable``
-        returning ``False``, keeps the shard off the processes path.
-        Read once per wiring rebuild, after construction completes.
-        """
-        return None
-
-    def export_state(self) -> "dict | None":
-        """Snapshot of all mutable tick-phase state, as picklable data.
-
-        The processes backend calls this on the parent's copy before an
-        epoch run (to seed the worker) and on the worker's copy after
-        (to update the parent mirror).  The default ``None`` is only
-        valid while :meth:`process_exportable` is ``False``.
-        """
-        return None
-
-    def import_state(self, state: "dict") -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement import_state")
-
     def wake(self) -> None:
         """Wake this component if the fast kernel path put it to sleep.
 

@@ -126,6 +126,18 @@ _BACKOFF_MASK_MAX = 0x3F
 #: pay the sleep/wake round trip.
 _SLEEP_AFTER = 32
 
+#: the sharded-engine backends a caller may request (see repro.sim.parallel)
+PARALLEL_BACKENDS = ("auto", "threads", "inline")
+
+
+def check_parallel_backend(backend: str) -> None:
+    """Reject a sharded-engine backend name outside
+    :data:`PARALLEL_BACKENDS`."""
+    if backend not in PARALLEL_BACKENDS:
+        raise SimulationError(
+            f"unknown parallel backend {backend!r} "
+            f"(expected one of: {', '.join(PARALLEL_BACKENDS)})")
+
 
 class Simulator:
     """Owner of the global clock, the components, and the channels.
@@ -156,14 +168,9 @@ class Simulator:
         path either way; the three-way oracle in ``repro.verify``
         enforces this differentially.
     parallel_backend:
-        ``"auto"`` (pick ``processes`` when the plan exports shards and
-        cores exist, else measure whether a thread pool beats inline
-        staged execution on this host, once per process),
-        ``"threads"``, ``"inline"``, or ``"processes"`` (long-lived
-        worker processes own the process-exportable shards and exchange
-        boundary beats at epoch barriers; degrades gracefully to
-        ``threads`` when the wiring or platform cannot support it —
-        see :attr:`ParallelEngine.backend_resolution`).
+        ``"auto"`` (measure whether a thread pool beats inline staged
+        execution on this host, once per process), ``"threads"``, or
+        ``"inline"``; anything else raises :class:`SimulationError`.
     tlm:
         Transaction-level fast-forward mode (see :mod:`repro.sim.tlm`).
         Implies ``fast``; incompatible with ``parallel``.  Steady-state
@@ -184,6 +191,7 @@ class Simulator:
             raise SimulationError("clock_hz must be positive")
         if parallel < 0:
             raise SimulationError("parallel worker count must be >= 0")
+        check_parallel_backend(parallel_backend)
         if tlm and parallel:
             raise SimulationError(
                 "tlm=True is incompatible with the sharded parallel "
@@ -199,14 +207,6 @@ class Simulator:
         #: sharded-engine worker count (0 = disabled); see repro.sim.parallel
         self.parallel = int(parallel)
         self.parallel_backend = parallel_backend
-        #: picklable (builder, args, kwargs) that reproduces this
-        #: simulator; required by the processes backend under spawn-like
-        #: start methods, where live components are never pickled
-        self.parallel_recipe = None
-        #: multiprocessing start-method override for the processes
-        #: backend ("fork" / "spawn" / "forkserver"; None = platform
-        #: default) — mainly for tests exercising the spawn bootstrap
-        self.parallel_mp_context = None
         self._parallel_engine = None
         #: when armed (by the parallel engine during a sharded tick
         #: phase), wake() / _wake_component() hand their target to this

@@ -62,24 +62,9 @@ Backends
     ``threads`` by construction, and the per-shard quiescence tracking
     (sleep/skip/freeze per port pipeline) still beats the reference
     path by a wide margin on bursty workloads.
-``processes``
-    Long-lived worker processes own the shards the partitioner proved
-    *process-exportable* (see
-    :class:`~repro.sim.partition.ProcessShardInfo`); the parent runs
-    the hub and any remaining groups concurrently and exchanges only
-    boundary-channel entries at epoch barriers
-    (:mod:`repro.sim.procpool`).  Shards that cannot be exported keep
-    running on the parent, and when *no* stage yields two exportable
-    shards — or the platform cannot support worker processes (daemonic
-    parent, spawn start method without a
-    :attr:`Simulator.parallel_recipe`) — the request degrades
-    gracefully to ``threads``, with the reason recorded in
-    :attr:`ParallelEngine.backend_resolution`.
 ``auto``
-    Considers the worker count, the platform start method, the CPU
-    count, and the plan's process-eligibility: picks ``processes`` when
-    the wiring can actually export shards and cores exist to run them,
-    otherwise falls back to the one-off spin-workload calibration
+    Considers the worker count, the CPU count and the interpreter's GIL
+    state, then falls back to a one-off spin-workload calibration
     (cached per process) that picks ``threads`` only when the measured
     speedup clears :data:`_CROSSOVER_MARGIN` — a measured crossover,
     not a guess.  Single-core hosts and GIL builds land on ``inline``.
@@ -93,7 +78,6 @@ or a regression bisect can always tell which engine produced a number.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 import sys
 import time
@@ -104,17 +88,16 @@ from typing import Dict, List, Optional, Tuple
 from .commit import _BULK_THRESHOLD
 from .errors import SimulationError
 from .kernel import (_BACKOFF_AFTER, _BACKOFF_MASK_FIRST, _BACKOFF_MASK_MAX,
-                     _SLEEP_AFTER)
+                     _SLEEP_AFTER, check_parallel_backend)
 from .partition import ShardPlan, Stage, build_plan
-from .procpool import ProcessShardPool
 from .stats import KernelSkipStats
 
 #: measured threads-over-inline speedup required before ``auto`` picks
 #: the thread pool; anything less and dispatch overhead eats the gain
 _CROSSOVER_MARGIN = 1.1
 
-#: process-wide calibration verdicts, keyed by (workers, start_method)
-_CROSSOVER_CACHE: Dict[Tuple[int, str], str] = {}
+#: process-wide calibration verdicts, keyed by worker count
+_CROSSOVER_CACHE: Dict[int, str] = {}
 
 
 def _gil_enabled() -> Optional[bool]:
@@ -143,37 +126,24 @@ def _spin(iterations: int = 40) -> int:
     return acc
 
 
-def measured_backend(workers: int, start_method: Optional[str] = None,
-                     process_capable: bool = False) -> str:
+def measured_backend(workers: int) -> str:
     """Pick the best backend for ``workers`` on this host.
 
-    Considers the worker count, the platform's multiprocessing start
-    method, and whether the caller's partition plan can actually export
-    shards to worker processes (``process_capable``):
-
     * one worker never benefits from any pool — ``inline``;
-    * when shards are process-exportable and the host has more than one
-      CPU, ``processes`` wins regardless of start method — fork and
-      spawn differ only in bootstrap cost, which the engine amortizes
-      over long-lived workers;
     * on a free-threaded 3.13+ build actually running without the GIL
       (``sys._is_gil_enabled()`` returns False) and with cores to
       spare, ``threads`` is genuinely parallel — picked directly, no
       calibration needed;
     * otherwise the threads-vs-inline question is *measured* with a
-      GIL-bound spin workload (cached per ``(workers, start_method)``):
+      GIL-bound spin workload (cached per worker count):
       on GIL builds and single-core hosts ``inline`` wins, on
       free-threaded builds with cores to spare ``threads`` wins.
     """
     if workers <= 1:
         return "inline"
-    if start_method is None:
-        start_method = multiprocessing.get_start_method()
-    if process_capable and (os.cpu_count() or 1) > 1:
-        return "processes"
     if _gil_enabled() is False and (os.cpu_count() or 1) > 1:
         return "threads"
-    cached = _CROSSOVER_CACHE.get((workers, start_method))
+    cached = _CROSSOVER_CACHE.get(workers)
     if cached is not None:
         return cached
     start = time.perf_counter()
@@ -195,7 +165,7 @@ def measured_backend(workers: int, start_method: Optional[str] = None,
     choice = ("threads"
               if t_threads > 0 and t_inline / t_threads > _CROSSOVER_MARGIN
               else "inline")
-    _CROSSOVER_CACHE[(workers, start_method)] = choice
+    _CROSSOVER_CACHE[workers] = choice
     return choice
 
 
@@ -251,10 +221,7 @@ class ParallelEngine:
     def __init__(self, sim, workers: int, backend: str = "auto") -> None:
         if workers < 1:
             raise SimulationError("parallel worker count must be >= 1")
-        if backend not in ("auto", "threads", "inline", "processes"):
-            raise SimulationError(
-                f"unknown parallel backend {backend!r} "
-                "(expected 'auto', 'threads', 'inline', or 'processes')")
+        check_parallel_backend(backend)
         self.sim = sim
         self.workers = workers
         self.backend = backend
@@ -263,22 +230,11 @@ class ParallelEngine:
         self._plan: Optional[ShardPlan] = None
         self._scratches: Dict[int, List[_GroupScratch]] = {}
         self._schedule: list = []
-        #: unmasked schedule (every group local); used for short spans
-        #: in processes mode, where seeding workers would cost more
-        #: than ticking the shards in place
-        self._schedule_full: list = []
         self._executor: Optional[ThreadPoolExecutor] = None
         self._resolved_backend: Optional[str] = None
         #: requested/resolved/reason decision trail of the last backend
         #: resolution (attribution for bench sidecars and tests)
         self.backend_resolution: Dict[str, object] = {}
-        #: shard key -> ProcessShardInfo for the shards currently owned
-        #: by worker processes (empty unless resolved to "processes")
-        self._remote_infos: Dict[str, object] = {}
-        self._pool: Optional[ProcessShardPool] = None
-        #: while True, mid-epoch wiring staleness is left for the epoch
-        #: boundary (a parent rebuild would desync in-flight workers)
-        self._defer_stale = False
         self._tls = local()
         # barrier working state (only valid while _barrier runs)
         self._worklist: Optional[list] = None
@@ -287,6 +243,7 @@ class ParallelEngine:
         self._stage_bounds = (0, 0)
         self._barrier_idx = 0
         self._bar_skipped = 0
+        self._resolve_backend()
 
     # ------------------------------------------------------------------
     # plan / backend lifecycle
@@ -314,17 +271,11 @@ class ParallelEngine:
                 scratch.flush_stats(
                     self.shard_stats.setdefault(scratch.key,
                                                 KernelSkipStats()), 0)
-        if self._pool is not None:
-            # plan change invalidates the shard ownership; workers are
-            # only ever retired between runs / at epoch boundaries,
-            # when the parent mirrors are authoritative
-            self._pool.close()
-            self._pool = None
         self._plan = build_plan(self.sim)
         self._scratches = {}
         # precompiled walk order: (stage, scratches) with scratches None
         # for hub stages
-        self._schedule_full = []
+        self._schedule = []
         for stage_no, stage in enumerate(self._plan.stages):
             if stage.kind == "parallel":
                 scratches = [
@@ -332,118 +283,46 @@ class ParallelEngine:
                     for key, members in stage.groups.items()
                 ]
                 self._scratches[stage_no] = scratches
-                self._schedule_full.append((stage, scratches))
+                self._schedule.append((stage, scratches))
             else:
-                self._schedule_full.append((stage, None))
+                self._schedule.append((stage, None))
         for key in (*self._plan.shard_keys, "hub"):
             self.shard_stats.setdefault(key, KernelSkipStats())
-        self._resolve_backend()
 
     # ------------------------------------------------------------------
     # backend resolution
     # ------------------------------------------------------------------
 
     def _resolve_backend(self) -> None:
-        """Decide which backend this plan actually runs on.
+        """Decide which backend this engine runs on.
 
-        Resolution is per-plan because process-eligibility is a wiring
-        property.  The decision trail lands in
-        :attr:`backend_resolution` and the verdict in
-        ``sim.skip_stats.resolved_backend``.
+        The decision trail lands in :attr:`backend_resolution` and the
+        verdict in ``sim.skip_stats.resolved_backend``.
         """
-        sim = self.sim
-        plan = self._plan
-        start_method = (getattr(sim, "parallel_mp_context", None)
-                        or multiprocessing.get_start_method())
-        # candidate shards: the single stage with the most exportable
-        # shards (a worker owns whole shards; two shards of the same
-        # stage are what creates true overlap)
-        by_stage: Dict[int, Dict[str, object]] = {}
-        for key, info in plan.process_shards.items():
-            by_stage.setdefault(info.stage_index, {})[key] = info
-        candidates: Dict[str, object] = {}
-        if by_stage:
-            candidates = max(by_stage.values(), key=len)
-        capable = True
-        why = None
-        if self.workers < 2:
-            capable, why = False, "needs >= 2 workers"
-        elif len(candidates) < 2:
-            capable, why = False, (
-                "no stage has >= 2 process-exportable shards "
-                f"(blockers: {plan.process_blockers or 'no shard keys'})")
-        elif multiprocessing.current_process().daemon:
-            capable, why = False, (
-                "daemonic parent process cannot start shard workers")
-        elif (start_method != "fork"
-              and getattr(sim, "parallel_recipe", None) is None):
-            capable, why = False, (
-                f"start method {start_method!r} needs "
-                f"Simulator.parallel_recipe (live components are "
-                f"never pickled)")
         requested = self.backend
-        if requested == "processes":
-            if capable:
-                resolved, reason = "processes", "requested"
-            else:
-                resolved = "threads"
-                reason = f"processes unavailable ({why}); fell back"
-        elif requested == "auto":
-            resolved = measured_backend(self.workers, start_method,
-                                        process_capable=capable)
-            reason = ("measured" if resolved != "processes"
-                      else "process-exportable shards and spare CPUs")
+        if requested == "auto":
+            resolved, reason = measured_backend(self.workers), "measured"
         else:
             resolved, reason = requested, "requested"
         self._resolved_backend = resolved
-        self._remote_infos = dict(candidates) if resolved == "processes" \
-            else {}
         self.backend_resolution = {
             "requested": requested,
             "resolved": resolved,
             "reason": reason,
-            "start_method": start_method,
-            "process_shards": sorted(self._remote_infos),
-            "process_blockers": dict(plan.process_blockers),
             # PEP 703 probe: False = free-threaded build, GIL off
             # (threads overlap for real); None = probe unavailable
             "gil_enabled": _gil_enabled(),
         }
-        sim.skip_stats.resolved_backend = resolved
-        # masked walk order: remote groups are ticked by their worker
-        # processes, everything else (hub stages included) stays local
-        if self._remote_infos:
-            remote_keys = set(self._remote_infos)
-            self._schedule = [
-                (stage, scratches if scratches is None else
-                 [s for s in scratches if s.key not in remote_keys])
-                for stage, scratches in self._schedule_full
-            ]
-        else:
-            self._schedule = self._schedule_full
-
-    def _demote_processes(self, why: str) -> None:
-        """Give up on worker processes for this plan; fall to threads."""
-        self._resolved_backend = "threads"
-        self._remote_infos = {}
-        self._schedule = self._schedule_full
-        self.backend_resolution = dict(
-            self.backend_resolution,
-            resolved="threads",
-            reason=f"processes unavailable ({why}); fell back")
-        self.sim.skip_stats.resolved_backend = "threads"
+        self.sim.skip_stats.resolved_backend = resolved
 
     def _use_threads(self) -> bool:
         return self._resolved_backend == "threads" and self.workers > 1
 
     def close(self) -> None:
-        """Shut the worker pools down (idempotent)."""
+        """Shut the thread pool down (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     # ------------------------------------------------------------------
     # deferred kernel services (armed only during parallel stages)
@@ -482,11 +361,10 @@ class ParallelEngine:
     def run_to(self, end: int) -> None:
         """Advance the simulator to ``end`` (the parallel ``_run_fast``).
 
-        Dispatch loop: each leg runs a span on the resolved backend and
-        reports back — ``"done"`` (reached ``end``), ``"replan"`` (the
-        wiring changed; rebuild and re-dispatch on the fresh plan and
-        backend resolution), or ``"fallback"`` (the fresh plan is not
-        worth sharding; the serial fast path finishes the run).
+        Dispatch loop: each span runs until ``end`` or until the wiring
+        changes; a changed wiring is re-planned before the next span,
+        and a fresh plan that is not worth sharding hands the rest of
+        the run to the serial fast path.
         """
         sim = self.sim
         while sim._cycle < end:
@@ -496,83 +374,17 @@ class ParallelEngine:
                 if not self._plan.parallelizable:
                     sim._run_fast(end)
                     return
-            if self._remote_infos \
-                    and self._resolved_backend == "processes":
-                status = self._run_processes(end)
-            else:
-                status = self._run_span(end)
-            if status == "fallback":
-                sim._run_fast(end)
-                return
+            self._run_span(end)
 
-    def _run_processes(self, end: int) -> str:
-        """Epoch driver for the ``processes`` backend.
-
-        Seeds the workers with authoritative parent state, then
-        alternates ``dispatch_epoch`` (workers advance their shards by
-        up to ``lookahead`` cycles) with a concurrent local span over
-        the masked schedule, splicing results at each barrier.  Worker
-        state is collected back before every return, so the parent
-        mirrors are exact whenever control leaves the engine.
-        """
-        sim = self.sim
-        infos = self._remote_infos
-        epoch = min(info.lookahead for info in infos.values())
-        if self._pool is None and end - sim._cycle < epoch:
-            # shorter than one epoch: seeding workers would cost more
-            # than ticking the shards in place on the full schedule
-            return self._run_span(end, self._schedule_full)
-        if self._pool is None:
-            try:
-                self._pool = ProcessShardPool(sim, infos, self.workers)
-            except SimulationError:
-                raise
-            except Exception as exc:  # platform cannot start workers
-                self._demote_processes(f"worker start failed: {exc!r}")
-                return "replan"
-        pool = self._pool
-        try:
-            pool.seed()
-            while sim._cycle < end:
-                if sim._wiring_stale:
-                    # re-plan at the epoch boundary: the workers are
-                    # idle here, and after a sync-up the parent
-                    # mirrors are authoritative again
-                    pool.collect()
-                    return "replan"
-                start = sim._cycle
-                epoch_end = min(start + epoch, end)
-                pool.dispatch_epoch(start, epoch_end)
-                # the local span must reach epoch_end even if the
-                # wiring goes stale mid-epoch (a parent-side rebuild
-                # would desync the in-flight workers), so staleness is
-                # deferred to the boundary check above
-                self._defer_stale = True
-                try:
-                    self._run_span(epoch_end)
-                finally:
-                    self._defer_stale = False
-                pool.collect_epoch(self.shard_stats)
-            pool.collect()
-            return "done"
-        except BaseException:
-            # containment: never leave half-synced workers behind
-            self._pool = None
-            pool.close(terminate=True)
-            raise
-
-    def _run_span(self, end: int, schedule=None) -> str:
+    def _run_span(self, end: int) -> None:
         """Run the stage schedule serially-equivalently up to ``end``.
 
         Mirrors the serial fast path cycle for cycle: frozen-horizon
         jumps, heap wakes at cycle start, the stage walk in place of the
         flat component loop, then the identical commit / freeze logic.
-        ``schedule`` defaults to the backend-masked one; the processes
-        path passes the full schedule for sub-epoch spans.
         """
         sim = self.sim
-        if schedule is None:
-            schedule = self._schedule
+        schedule = self._schedule
         stats = sim.skip_stats
         heap = sim._wakeheap
         heap_list = heap._heap
@@ -589,7 +401,6 @@ class ParallelEngine:
         hub_skipped = 0
         hub_slept = 0
         self._bar_skipped = 0
-        status = "done"
         try:
             while sim._cycle < end:
                 if sim._finished:
@@ -603,10 +414,8 @@ class ParallelEngine:
                     frozen += jump_to - cycle
                     sim._cycle = jump_to
                     continue
-                if sim._wiring_stale and not self._defer_stale:
-                    # hand the rebuild back to the dispatch loop; the
-                    # epoch driver instead defers it to its barrier
-                    status = "replan"
+                if sim._wiring_stale:
+                    # hand the rebuild back to the dispatch loop
                     break
                 if heap_list and heap_list[0][0] <= cycle:
                     sim._wake_due(cycle)
@@ -715,7 +524,6 @@ class ParallelEngine:
             stats.commit_batches += batches
             stats.commit_channels += committed
             stats.heap_pushes += heap_pushes
-        return status
 
     # ------------------------------------------------------------------
     # stages

@@ -68,15 +68,6 @@ from typing import Any, Dict, List, Optional, Tuple
 #: shared owner attributed to listeners that identify no owner at all
 _ANON = object()
 
-#: epoch bounds for the processes backend.  A process shard advances
-#: ``lookahead`` cycles between barriers; below the minimum the IPC
-#: round-trip dominates the tick work and the backend cannot win, so
-#: the shard is reported ineligible rather than run at a loss.  With no
-#: boundary channels at all the lookahead is unbounded; the maximum
-#: keeps stats/wake latency bounded.
-MIN_PROCESS_EPOCH = 8
-MAX_PROCESS_EPOCH = 4096
-
 
 def _listener_owner(callback: Any) -> Any:
     """The object whose state a listener callback mutates.
@@ -140,27 +131,6 @@ class Stage:
 
 
 @dataclass
-class ProcessShardInfo:
-    """A shard proven safe to run inside a worker process.
-
-    ``inbound`` channels are fed by the hub and popped by the shard,
-    ``outbound`` the reverse; ``internal`` channels are touched by the
-    shard alone and live entirely in the worker.  ``lookahead`` is the
-    epoch length: the minimum boundary-channel latency, which bounds how
-    many cycles the worker can advance before a beat committed on the
-    other side could become visible.
-    """
-
-    key: str
-    members: List[Tuple[int, Any]]
-    stage_index: int
-    internal: List[Any] = field(default_factory=list)
-    inbound: List[Any] = field(default_factory=list)
-    outbound: List[Any] = field(default_factory=list)
-    lookahead: int = 0
-
-
-@dataclass
 class ShardPlan:
     """The partitioning verdict for one simulator wiring."""
 
@@ -175,32 +145,12 @@ class ShardPlan:
     channel_classes: Dict[str, Tuple[str, Optional[str]]]
     #: why components were demoted to the hub, for diagnostics
     demotions: Dict[str, str] = field(default_factory=dict)
-    #: shard key -> proof it can run in a worker process
-    process_shards: Dict[str, ProcessShardInfo] = field(default_factory=dict)
-    #: shard key -> why it can *not* run in a worker process
-    process_blockers: Dict[str, str] = field(default_factory=dict)
 
     @property
     def parallelizable(self) -> bool:
         """True when at least one stage can fan out to >= 2 workers."""
         return any(stage.kind == "parallel" and len(stage.groups) >= 2
                    for stage in self.stages)
-
-    @property
-    def process_parallelizable(self) -> bool:
-        """True when >= 2 shards of one stage can run in processes."""
-        by_stage: Dict[int, int] = {}
-        for info in self.process_shards.values():
-            by_stage[info.stage_index] = by_stage.get(info.stage_index,
-                                                      0) + 1
-        return any(count >= 2 for count in by_stage.values())
-
-    @property
-    def process_lookahead(self) -> int:
-        """Common epoch length across all process shards (0 = none)."""
-        if not self.process_shards:
-            return 0
-        return min(info.lookahead for info in self.process_shards.values())
 
     @property
     def max_width(self) -> int:
@@ -235,16 +185,6 @@ class ShardPlan:
             ],
             "channels": class_counts,
             "demotions": dict(self.demotions),
-            "process_shards": {
-                key: {"members": len(info.members),
-                      "internal": len(info.internal),
-                      "inbound": len(info.inbound),
-                      "outbound": len(info.outbound),
-                      "lookahead": info.lookahead}
-                for key, info in sorted(self.process_shards.items())
-            },
-            "process_blockers": dict(self.process_blockers),
-            "process_lookahead": self.process_lookahead,
         }
 
 
@@ -259,124 +199,6 @@ def _demotion_reason(component: Any, declared) -> Optional[str]:
             return ("carries a completion callback owned by a foreign "
                     "object; its tick mutates shared state")
     return None
-
-
-def _analyze_process_shards(sim, stages, component_keys, component_index,
-                            shard_keys):
-    """Prove which shards may run inside worker processes.
-
-    A shard is eligible only when a chain of checks all hold; the first
-    failure is recorded verbatim in ``process_blockers`` so the resolved
-    backend is attributable (a satellite requirement).  The checks — all
-    derived from the epoch-BSP execution model, see DESIGN.md §11:
-
-    * every member opts in via ``process_exportable()`` and declares its
-      output footprint via ``pushes_channels()``;
-    * the shard's members occupy exactly one parallel stage (the worker
-      owns the whole shard for the epoch; hub stages interleaving two
-      halves of it would need mid-epoch sync);
-    * every footprint channel is either internal (shard-only) or a
-      single-direction boundary (inbound: hub pushes / shard pops;
-      outbound: shard pushes / hub pops) — a mixed channel would need
-      same-epoch round trips;
-    * boundary channels are unbounded (a bounded channel's ``can_push``
-      depends on pops the other process performs invisibly mid-epoch)
-      and carry no push/pop listeners (listeners would fire in the
-      wrong process);
-    * the minimum boundary latency — the lookahead — is at least
-      :data:`MIN_PROCESS_EPOCH` so barriers amortize.
-    """
-    process_shards: Dict[str, ProcessShardInfo] = {}
-    process_blockers: Dict[str, str] = {}
-    channels_by_name = {channel.name: channel for channel in sim._channels}
-
-    # declared output footprint, per shard key (only exportable shards
-    # need it, but collect globally so cross-shard pushes are visible)
-    pushed_by_key: Dict[str, set] = {}
-    for comp, key in component_keys.items():
-        if key is None:
-            continue
-        pushes = comp.pushes_channels()
-        if pushes:
-            pushed_by_key.setdefault(key, set()).update(
-                ch.name for ch in pushes)
-
-    stage_of_key: Dict[str, List[int]] = {}
-    for stage_idx, stage in enumerate(stages):
-        if stage.kind == "parallel":
-            for key in stage.groups:
-                stage_of_key.setdefault(key, []).append(stage_idx)
-
-    for key in shard_keys:
-        members = sorted((component_index[comp], comp)
-                         for comp, k in component_keys.items() if k == key)
-        blocker = None
-        if not all(comp.process_exportable() for _i, comp in members):
-            blocker = "a member does not opt in via process_exportable()"
-        elif any(comp.pushes_channels() is None for _i, comp in members):
-            blocker = ("a member declares no pushes_channels(), so the "
-                       "output footprint is unknown")
-        elif len(stage_of_key.get(key, ())) != 1:
-            blocker = "members span more than one parallel stage"
-        if blocker is not None:
-            process_blockers[key] = blocker
-            continue
-
-        watched = set()
-        pushed = set()
-        for _idx, comp in members:
-            watched.update(ch.name for ch in (comp.wake_channels() or ()))
-            pushed.update(ch.name for ch in (comp.pushes_channels() or ()))
-
-        info = ProcessShardInfo(key=key, members=members,
-                                stage_index=stage_of_key[key][0])
-        latencies = []
-        for name in sorted(watched | pushed):
-            channel = channels_by_name[name]
-            if channel._push_listeners or channel._pop_listeners:
-                blocker = (f"channel {name!r} has push/pop listeners, "
-                           f"which would fire in the wrong process")
-                break
-            watcher_keys = {component_keys.get(w) for w in channel._watchers}
-            foreign_watch = any(k != key for k in watcher_keys)
-            foreign_push = any(name in names
-                               for other, names in pushed_by_key.items()
-                               if other != key)
-            shard_watches = name in watched
-            shard_pushes = name in pushed
-            boundary = (foreign_watch or foreign_push
-                        or not (shard_watches and shard_pushes))
-            if not boundary:
-                info.internal.append(channel)
-                continue
-            if shard_watches and shard_pushes:
-                blocker = (f"channel {name!r} is a mixed-direction "
-                           f"boundary (shard both pushes and pops it)")
-                break
-            if channel.capacity is not None:
-                blocker = (f"boundary channel {name!r} is bounded; "
-                           f"can_push would depend on pops the other "
-                           f"process performs invisibly mid-epoch")
-                break
-            latencies.append(channel.latency)
-            if shard_watches:
-                info.inbound.append(channel)
-            else:
-                info.outbound.append(channel)
-        if blocker is None:
-            lookahead = min(latencies) if latencies else MAX_PROCESS_EPOCH
-            lookahead = min(lookahead, MAX_PROCESS_EPOCH)
-            if lookahead < MIN_PROCESS_EPOCH:
-                blocker = (f"boundary latency {lookahead} is below the "
-                           f"minimum process epoch {MIN_PROCESS_EPOCH}; "
-                           f"barriers would not amortize")
-        if blocker is not None:
-            process_blockers[key] = blocker
-        else:
-            info.lookahead = lookahead
-            process_shards[key] = info
-
-    return process_shards, process_blockers
 
 
 def build_plan(sim) -> ShardPlan:
@@ -472,13 +294,8 @@ def build_plan(sim) -> ShardPlan:
         else:
             stage.groups.setdefault(key, []).append((idx, comp))
 
-    process_shards, process_blockers = _analyze_process_shards(
-        sim, stages, component_keys, component_index, shard_keys)
-
     return ShardPlan(stages=stages, component_keys=component_keys,
                      component_index=component_index,
                      shard_keys=shard_keys,
                      channel_classes=channel_classes,
-                     demotions=demotions,
-                     process_shards=process_shards,
-                     process_blockers=process_blockers)
+                     demotions=demotions)

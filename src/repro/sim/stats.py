@@ -185,7 +185,7 @@ class KernelSkipStats:
         self.commit_batches = 0
         self.commit_channels = 0
         # which parallel backend actually executed ("inline", "threads",
-        # "processes", or None when the serial path ran); written by the
+        # or None when the serial path ran); written by the
         # parallel engine's backend resolution so bench sidecars and
         # regressions are attributable to the engine that produced them
         self.resolved_backend = None

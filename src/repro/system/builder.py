@@ -98,7 +98,7 @@ class SocSystem:
             over without touching call sites.
         parallel_backend:
             Engine backend for the sharded tick engine ("auto",
-            "inline", "threads", or "processes").  ``None`` reads the
+            "inline", or "threads").  ``None`` reads the
             ``REPRO_PARALLEL_BACKEND`` environment variable (default
             "auto"), mirroring ``REPRO_PARALLEL``.
         tlm:

@@ -249,7 +249,7 @@ def build_system(scenario: Scenario, fast: bool,
 
     ``parallel`` is the sharded-engine worker count (0 = serial) and
     ``parallel_backend`` selects its engine ("auto" / "inline" /
-    "threads" / "processes"); together they form the candidate legs of
+    "threads"); together they form the candidate legs of
     the kernel-equivalence oracle, exercised against the reference and
     serial-fast legs by ``check_equivalence``.  ``tlm`` enables the
     transaction-level fast-forward mode, the candidate leg of the

@@ -8,7 +8,7 @@ containment bound:
 2. **protocol** — strict :class:`~repro.axi.LinkChecker` monitors on
    every compliant master's port stay clean;
 3. **equivalence** — the labeled kernel paths (reference, fast, and
-   the sharded engine on its threads and processes backends) produce
+   the sharded engine on its threads backend) produce
    bit-identical observables (traffic, events, fault statistics,
    elapsed time);
 4. **containment bound** — for single-rogue-master scenarios the
@@ -632,7 +632,7 @@ def equivalence_label(parallel: int, backend: str) -> str:
 
     ``"auto"`` keeps the historic bare ``parallel=N`` label (corpus
     digests and falsifying-example messages pin it); explicit backends
-    are named so a four-way violation says which engine diverged.
+    are named so a violation says which engine diverged.
     """
     if backend == "auto":
         return f"parallel={parallel}"
@@ -640,7 +640,7 @@ def equivalence_label(parallel: int, backend: str) -> str:
 
 
 def scenario_path_digests(scenario: Scenario, parallel: int = 2,
-                          backends: tuple = ("threads", "processes"),
+                          backends: tuple = ("threads",),
                           ) -> Dict[str, str]:
     """Corpus digest of every kernel path's observables, keyed by label.
 
@@ -724,20 +724,17 @@ def evaluate_scenario(scenario: Scenario,
 
 
 def check_scenario(scenario: Scenario, parallel: int = 2,
-                   parallel_backends: tuple = ("threads", "processes"),
+                   parallel_backends: tuple = ("threads",),
                    ) -> RunResult:
     """Run every oracle family on one scenario; returns the reference run.
 
-    Runs the scenario on all four labeled kernel paths — reference,
-    fast, and the sharded parallel engine once per backend in
-    ``parallel_backends`` (default threads *and* processes; ``parallel``
-    = 0 skips both sharded legs) — plus the fault-free baseline
-    (reference path) when the containment bound applies.  A topology
-    whose shards are not process-exportable still runs the processes
-    leg: the request degrades to threads inside the engine, so the leg
-    doubles as a regression test of the graceful fallback.  On
-    violation, the scenario is dumped to the artifact directory and the
-    :class:`OracleViolation` re-raised for hypothesis to shrink.
+    Runs the scenario on every labeled kernel path — reference, fast,
+    and the sharded parallel engine once per backend in
+    ``parallel_backends`` (default threads; ``parallel`` = 0 skips the
+    sharded legs) — plus the fault-free baseline (reference path) when
+    the containment bound applies.  On violation, the scenario is
+    dumped to the artifact directory and the :class:`OracleViolation`
+    re-raised for hypothesis to shrink.
     """
     try:
         return evaluate_scenario(scenario, parallel=parallel,

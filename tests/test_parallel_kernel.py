@@ -6,15 +6,19 @@ workload — the sharding, the stage barriers, and the deferred wake
 replay are pure scheduling, never semantics.  The fine-grained
 fingerprint sweep lives in ``tests/test_kernel_equivalence.py`` and the
 corpus replay in ``tests/test_verify_corpus.py``; this module covers
-the engine's own machinery: fallback, backends, per-shard stats,
-lifecycle, and the ``run_until`` stop-cycle guarantee.
+the engine's own machinery: fallback, backends, backend resolution,
+per-shard stats, lifecycle, and the ``run_until`` stop-cycle guarantee.
 """
+
+import os
+import sys
 
 import pytest
 
 from repro.masters import AxiDma
 from repro.platforms import ZCU102
-from repro.sim import ParallelEngine, Simulator
+from repro.sim import ParallelEngine, Simulator, measured_backend
+from repro.sim import parallel as parallel_mod
 from repro.sim.errors import SimulationError
 from repro.system import SocSystem
 
@@ -161,8 +165,13 @@ class TestLifecycleAndValidation:
 
     def test_unknown_backend_rejected(self):
         sim = Simulator("t", clock_hz=ZCU102.pl_clock_hz)
-        with pytest.raises(SimulationError):
-            ParallelEngine(sim, 2, backend="fibers")
+        choices = "expected one of: auto, threads, inline"
+        for backend in ("fibers", "processes"):
+            with pytest.raises(SimulationError, match=choices):
+                ParallelEngine(sim, 2, backend=backend)
+            with pytest.raises(SimulationError, match=choices):
+                SocSystem.build(ZCU102, parallel=2,
+                                parallel_backend=backend)
 
     def test_env_var_switches_builds_over(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "3")
@@ -189,3 +198,43 @@ class TestLifecycleAndValidation:
         soc.sim.run(10)
         plan = soc.sim.parallel_plan
         assert plan is not None and plan.parallelizable
+
+
+class TestResolution:
+    def test_single_worker_stays_inline(self):
+        assert measured_backend(1) == "inline"
+        __, soc = run_and_sign(parallel=1)
+        assert soc.sim.skip_stats.resolved_backend == "inline"
+        resolution = soc.sim._parallel_engine.backend_resolution
+        assert resolution["requested"] == "auto"
+        assert resolution["reason"] == "measured"
+
+    def test_gil_probe_reported(self):
+        probe = getattr(sys, "_is_gil_enabled", None)
+        if probe is None:
+            assert parallel_mod._gil_enabled() is None   # pre-3.13 build
+        else:
+            assert parallel_mod._gil_enabled() is bool(probe())
+
+    def test_free_threaded_build_picks_threads(self, monkeypatch):
+        """PEP 703 gate: no spin calibration on a GIL-free interpreter."""
+        monkeypatch.setattr(parallel_mod.sys, "_is_gil_enabled",
+                            lambda: False, raising=False)
+        if (os.cpu_count() or 1) > 1:
+            assert measured_backend(4) == "threads"
+        # a GIL-enabled probe must keep the measured verdict instead
+        monkeypatch.setattr(parallel_mod.sys, "_is_gil_enabled",
+                            lambda: True, raising=False)
+        assert measured_backend(4) in ("threads", "inline")
+
+    def test_resolution_trail_records_gil_probe(self):
+        __, soc = run_and_sign(parallel=2, backend="threads")
+        resolution = soc.sim._parallel_engine.backend_resolution
+        assert resolution["requested"] == resolution["resolved"] == "threads"
+        assert resolution["gil_enabled"] in (True, False, None)
+        soc.sim.finish()
+
+    def test_unknown_backend_still_rejected(self):
+        with pytest.raises(SimulationError):
+            soc, __ = build_loaded_soc(parallel=2, backend="fibers")
+            soc.sim.run(64)

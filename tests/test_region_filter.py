@@ -223,7 +223,7 @@ class TestMidRunReprogramEquivalence:
     def test_fast_path_matches_reference(self):
         assert _reprogram_run(fast=True) == _reprogram_run(fast=False)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_parallel_paths_match_reference(self, backend):
         reference = _reprogram_run(fast=False)
         assert _reprogram_run(fast=False, parallel=2,

@@ -174,3 +174,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["case-study", "--interconnect", "smartconnect",
                   "--share", "50"])
+
+    def test_parallel_with_tlm_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--parallel", "2", "--tlm", "latency"])
+        assert exit_info.value.code == 2
+        assert "--tlm" in capsys.readouterr().err
+
+    def test_negative_parallel_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--parallel", "-1", "latency"])
+        assert exit_info.value.code == 2
+        assert "--parallel must be >= 0" in capsys.readouterr().err
+
+    def test_processes_backend_rejected(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--parallel-backend", "processes", "info"])
+        assert exit_info.value.code == 2

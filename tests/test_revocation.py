@@ -12,8 +12,8 @@ The churn tentpole's verification surface:
   tampered ones, and the liveness oracle defers the evicted tenant to
   it;
 * the acceptance paths: a revoke-while-mid-burst churn storm proven
-  bit-identical on all four kernel paths, with worker-count-independent
-  campaign digests;
+  bit-identical on the reference, fast and threads kernel paths, with
+  worker-count-independent campaign digests;
 * the golden audit-ring regression: a scripted revoke/re-grant session
   must reproduce the checked-in transition trail byte-for-byte.
 """
@@ -351,15 +351,14 @@ class TestChurnGrid:
 
 
 class TestAcceptance:
-    def test_four_path_churn_storm(self, tmp_path, monkeypatch):
+    def test_three_path_churn_storm(self, tmp_path, monkeypatch):
         """Revoke-while-mid-burst under a wild rogue, bit-identical on
-        reference, fast, threads, and processes kernels."""
+        reference, fast, and threads kernels."""
         monkeypatch.setenv("VERIFY_ARTIFACT_DIR", str(tmp_path))
         scenario = compile_isolation(
             {"n_domains": 6, "n_faulted": 1, "mix": "wild",
              "churn": "regrant", "churn_cycle": 64, "seed": 3})
-        result = check_scenario(scenario, parallel=2,
-                                parallel_backends=("threads", "processes"))
+        result = check_scenario(scenario, parallel=2)
         assert len(result.fingerprint) == 5   # churn probes are pinned
         assert result.churn_probes[0]["victim_synth_beats"] > 0
 
