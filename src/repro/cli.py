@@ -304,14 +304,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--parallel must be >= 0")
     if args.tlm and args.parallel:
         parser.error("--tlm cannot be combined with --parallel N > 0")
+    # the builder reads these env vars, so one flag reaches every
+    # simulator any experiment constructs (same plumbing as
+    # REPRO_PARALLEL for call sites without a backend parameter); they
+    # are restored afterwards so an in-process caller's later builds
+    # keep their own mode
+    overrides = {}
     if args.parallel_backend is not None:
-        # the builder reads the env var, so one flag reaches every
-        # simulator any experiment constructs (same plumbing as
-        # REPRO_PARALLEL for call sites without a backend parameter)
-        os.environ["REPRO_PARALLEL_BACKEND"] = args.parallel_backend
+        overrides["REPRO_PARALLEL_BACKEND"] = args.parallel_backend
     if args.tlm:
-        os.environ["REPRO_TLM"] = "1"
-    return args.handler(args)
+        overrides["REPRO_TLM"] = "1"
+    saved = {name: os.environ.get(name) for name in overrides}
+    os.environ.update(overrides)
+    try:
+        return args.handler(args)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 if __name__ == "__main__":   # pragma: no cover - module execution path

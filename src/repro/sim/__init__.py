@@ -7,7 +7,6 @@ order-independent clocked simulator in which hardware modules are
 """
 
 from .channel import Channel, UNBOUNDED
-from .commit import CommitCohorts
 from .component import Component
 from .errors import (
     ChannelError,
@@ -50,7 +49,6 @@ __all__ = [
     "RateCounter",
     "TraceEvent",
     "Tracer",
-    "CommitCohorts",
     "WakeHeap",
     "ParallelEngine",
     "measured_backend",

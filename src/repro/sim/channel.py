@@ -69,7 +69,6 @@ class Channel:
         "_push_listeners",
         "_pop_listeners",
         "_watchers",
-        "_index",
         "shard_class",
     )
 
@@ -112,8 +111,6 @@ class Channel:
         #: components to wake when this channel commits activity (built by
         #: the kernel from Component.wake_channels declarations)
         self._watchers: tuple = ()
-        #: stable index into the kernel's commit-cohort buffers
-        self._index = -1
         #: partition verdict for the sharded parallel kernel, written by
         #: repro.sim.partition: ``None`` until a plan is built, then
         #: ``("internal", key)`` — all touchers live in shard ``key`` —
@@ -331,20 +328,6 @@ class Channel:
         if not self._dirty:
             self._dirty = True
             self._sim._mark_dirty(self)
-
-    def next_wake_cycle(self, cycle: int) -> Optional[int]:
-        """Cycle at which an in-flight item becomes visible, if any.
-
-        Used by the fast kernel to bound bulk skips: a committed item whose
-        ready time lies in the future may un-quiesce its consumer exactly
-        when it becomes poppable.  A head that is already visible cannot
-        wake anyone later by itself, so it contributes no bound.
-        """
-        if self._queue:
-            ready = self._queue[0][0]
-            if ready > cycle:
-                return ready
-        return None
 
     # ------------------------------------------------------------------
     # kernel interface

@@ -75,11 +75,11 @@ cached horizon *and* wake every sleeper because every public entry point
 calls :meth:`Simulator.wake`; targeted cross-component mutations (a direct
 method call outside ``tick``) call :meth:`Component.wake`.
 
-Channel commits go through :class:`~repro.sim.commit.CommitCohorts`:
-channels are grouped into latency cohorts with index-set dirty bookkeeping,
-and large dirty sets stamp their ready cycles through preallocated numpy
-buffers (pure-Python batch otherwise).  Semantics are identical to the
-reference path's per-channel ``_commit``.
+The end of every fast cycle — the serial loop's and the sharded engine's
+alike — is one method, :meth:`Simulator._end_cycle`: it commits the dirty
+channels with the reference path's per-channel ``_commit`` semantics plus
+the heap and watcher-wake duties above, or, when nothing ticked and nothing
+was dirty, computes the frozen horizon.
 
 Contract for ``run_until`` predicates: they are sampled at ``check_every``
 granularity on both paths and must be observational.  Predicates that pop
@@ -95,7 +95,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from .channel import Channel
-from .commit import _BULK_THRESHOLD, CommitCohorts
 from .component import Component
 from .errors import SimulationError
 from .events import EventBus
@@ -234,13 +233,8 @@ class Simulator:
         #: future wake events (sleeping components' hints, far-future
         #: channel heads)
         self._wakeheap = WakeHeap()
-        #: latency-cohort commit engine (rebuilt with the wiring)
-        self._cohorts = CommitCohorts(self, [])
-        #: tri-state numpy override for the commit cohorts (tests force
-        #: the pure-Python batch path by setting this to False)
-        self._commit_numpy: Optional[bool] = None
-        #: scheduling wiring (watcher lists, cohort indices, sleep
-        #: capability) must be rebuilt before the next fast cycle
+        #: scheduling wiring (watcher lists, sleep capability) must be
+        #: rebuilt before the next fast cycle
         self._wiring_stale = True
         #: components currently eligible for polling, in stable insertion
         #: order (dict-as-ordered-set), and the complementary sleep set
@@ -450,8 +444,6 @@ class Simulator:
                     watcher_lists.setdefault(channel, []).append(component)
         for channel, watchers in watcher_lists.items():
             channel._watchers = tuple(watchers)
-        self._cohorts = CommitCohorts(self, self._channels,
-                                      use_numpy=self._commit_numpy)
         self._wiring_stale = False
 
     def _wake_due(self, cycle: int) -> None:
@@ -496,12 +488,10 @@ class Simulator:
         cycle semantics.  Per-cycle overhead is amortized across the
         window: loop-invariant objects are hoisted into locals (all of
         them mutated in place, never replaced, so the bindings stay
-        valid across ``_rebuild_wiring``), the small-dirty-set commit is
-        inlined rather than dispatched through
-        :meth:`CommitCohorts.flush`, and the skip statistics accumulate
-        in plain integers folded into :attr:`skip_stats` once per window
-        (the ``finally`` keeps them truthful if a component raises
-        mid-window).
+        valid across ``_rebuild_wiring``) and the tick-phase skip
+        statistics accumulate in plain integers folded into
+        :attr:`skip_stats` once per window (the ``finally`` keeps them
+        truthful if a component raises mid-window).
 
         Within a polled cycle the kernel wakes due heap subjects, then
         iterates the full registration list, skipping sleepers by flag,
@@ -511,24 +501,20 @@ class Simulator:
         a TS, or the recovery agent re-coupling a gate) are observable
         within the same cycle — and a sleeper woken by an earlier
         component mid-loop must still be reached *this* cycle, exactly
-        as the reference path would tick it.  If nothing ticked and no
-        channel has uncommitted work, the system is frozen and the cycle
-        at which it may change again is cached in ``_quiescent_until``.
+        as the reference path would tick it.  The cycle then ends in
+        :meth:`_end_cycle`: commit, or freeze if nothing happened.
         """
         stats = self.skip_stats
         heap = self._wakeheap
         heap_list = heap._heap
         heap_push = heap.push
         components = self._components
-        dirty = self._dirty_channels
-        wake = self._wake_component_direct
+        end_cycle = self._end_cycle
         ran_total = 0
         skipped = 0
         slept = 0
         polled = 0
         frozen = 0
-        batches = 0
-        committed = 0
         heap_pushes = 0
         try:
             while self._cycle < end:
@@ -593,50 +579,7 @@ class Simulator:
                                 component._k_miss = miss
                 ran_total += ran
                 polled += 1
-                if dirty:
-                    n_dirty = len(dirty)
-                    if n_dirty >= _BULK_THRESHOLD:
-                        self._cohorts.flush(cycle, dirty)
-                    else:
-                        # inlined pure-Python commit (the overwhelmingly
-                        # common case; semantics identical to
-                        # CommitCohorts.flush, which tests compare
-                        # against Channel._commit directly)
-                        batches += 1
-                        committed += n_dirty
-                        next_cycle = cycle + 1
-                        sleeping = True if self._asleep else False
-                        for channel in dirty:
-                            staged = channel._staged
-                            queue = channel._queue
-                            if staged:
-                                ready = cycle + channel.latency
-                                if len(staged) == 1:
-                                    queue.append((ready, staged[0]))
-                                else:
-                                    queue.extend(
-                                        [(ready, item) for item in staged])
-                                staged.clear()
-                            channel._occupancy -= channel._popped_this_cycle
-                            channel._popped_this_cycle = 0
-                            channel._dirty = False
-                            if queue and queue[0][0] > next_cycle:
-                                if heap_push(channel, queue[0][0]):
-                                    heap_pushes += 1
-                            if sleeping:
-                                for component in channel._watchers:
-                                    if component._k_asleep:
-                                        wake(component)
-                        dirty.clear()
-                elif not ran:
-                    horizon = heap.peek_cycle()
-                    for component in self._awake:
-                        hint = component.next_event_cycle(cycle)
-                        if hint is not None and hint < horizon:
-                            horizon = hint
-                    if horizon > cycle:
-                        self._quiescent_until = horizon
-                        stats.horizon_scans += 1
+                end_cycle(cycle, ran)
                 self._cycle = cycle + 1
         finally:
             stats.ticks_run += ran_total
@@ -645,9 +588,69 @@ class Simulator:
             stats.cycles_polled += polled
             stats.cycles_frozen += frozen
             stats.cycles_total += polled + frozen
-            stats.commit_batches += batches
-            stats.commit_channels += committed
             stats.heap_pushes += heap_pushes
+
+    def _end_cycle(self, cycle: int, ran: int) -> None:
+        """End a polled fast cycle whose tick phase ran ``ran`` ticks.
+
+        Commits every dirty channel exactly as :meth:`Channel._commit`
+        does (staged pushes stamped ready at ``cycle + latency``, pop
+        accounting folded into the occupancy), plus the two kernel
+        duties that piggyback on a commit because that is when staged
+        work becomes observable: a head ready more than one cycle out
+        goes on the wake heap (latency-1 heads are covered by the
+        watcher wake alone, so hot unit-latency channels never touch
+        the heap), and sleeping watchers of a committed channel are
+        woken, so they are polled on the first cycle the new state is
+        visible.
+
+        If nothing ticked and nothing was dirty, the system is frozen:
+        the cycle at which it may change again (the heap minimum
+        combined with the awake components' hints) is cached in
+        ``_quiescent_until``.  Both fast engines (:meth:`_run_fast` and
+        the sharded :class:`~repro.sim.parallel.ParallelEngine`) end
+        every polled cycle here.
+        """
+        dirty = self._dirty_channels
+        if dirty:
+            stats = self.skip_stats
+            stats.commit_batches += 1
+            stats.commit_channels += len(dirty)
+            heap_push = self._wakeheap.push
+            next_cycle = cycle + 1
+            # a commit puts nobody to sleep: with no sleepers now, the
+            # watcher walk can be skipped for the whole batch
+            wake = self._wake_component_direct if self._asleep else None
+            for channel in dirty:
+                staged = channel._staged
+                queue = channel._queue
+                if staged:
+                    ready = cycle + channel.latency
+                    if len(staged) == 1:
+                        queue.append((ready, staged[0]))
+                    else:
+                        queue.extend([(ready, item) for item in staged])
+                    staged.clear()
+                channel._occupancy -= channel._popped_this_cycle
+                channel._popped_this_cycle = 0
+                channel._dirty = False
+                if queue and queue[0][0] > next_cycle:
+                    if heap_push(channel, queue[0][0]):
+                        stats.heap_pushes += 1
+                if wake is not None:
+                    for component in channel._watchers:
+                        if component._k_asleep:
+                            wake(component)
+            dirty.clear()
+        elif not ran:
+            horizon = self._wakeheap.peek_cycle()
+            for component in self._awake:
+                hint = component.next_event_cycle(cycle)
+                if hint is not None and hint < horizon:
+                    horizon = hint
+            if horizon > cycle:
+                self._quiescent_until = horizon
+                self.skip_stats.horizon_scans += 1
 
     def run(self, cycles: int) -> None:
         """Run for a fixed number of cycles."""

@@ -4,7 +4,8 @@ Executes the stage schedule derived by :mod:`repro.sim.partition`: each
 cycle walks the stages in registration order, fanning the groups of a
 parallel stage out to workers and running hub stages with the serial
 fast-path loop verbatim.  Channel commits, wake-heap maintenance, and
-frozen-horizon bookkeeping stay serial on the main thread, exactly as in
+frozen-horizon bookkeeping stay serial on the main thread: each cycle
+ends in the same :meth:`Simulator._end_cycle` call that ends a cycle of
 :meth:`Simulator._run_fast`.
 
 Determinism
@@ -85,7 +86,6 @@ from concurrent.futures import ThreadPoolExecutor
 from threading import local
 from typing import Dict, List, Optional, Tuple
 
-from .commit import _BULK_THRESHOLD
 from .errors import SimulationError
 from .kernel import (_BACKOFF_AFTER, _BACKOFF_MASK_FIRST, _BACKOFF_MASK_MAX,
                      _SLEEP_AFTER, check_parallel_backend)
@@ -381,21 +381,17 @@ class ParallelEngine:
 
         Mirrors the serial fast path cycle for cycle: frozen-horizon
         jumps, heap wakes at cycle start, the stage walk in place of the
-        flat component loop, then the identical commit / freeze logic.
+        flat component loop, then the same :meth:`Simulator._end_cycle`
+        call (commit, or freeze if nothing happened).
         """
         sim = self.sim
         schedule = self._schedule
         stats = sim.skip_stats
-        heap = sim._wakeheap
-        heap_list = heap._heap
-        heap_push = heap.push
-        dirty = sim._dirty_channels
-        wake = sim._wake_component_direct
+        heap_list = sim._wakeheap._heap
+        end_cycle = sim._end_cycle
         ran_total = 0
         polled = 0
         frozen = 0
-        batches = 0
-        committed = 0
         heap_pushes = 0
         hub_ran = 0
         hub_skipped = 0
@@ -453,49 +449,7 @@ class ParallelEngine:
                             cycle, stage, active)
                 ran_total += ran
                 polled += 1
-                if dirty:
-                    n_dirty = len(dirty)
-                    if n_dirty >= _BULK_THRESHOLD:
-                        sim._cohorts.flush(cycle, dirty)
-                    else:
-                        # inlined pure-Python commit, identical to the
-                        # serial fast path's (which tests compare against
-                        # Channel._commit directly)
-                        batches += 1
-                        committed += n_dirty
-                        next_cycle = cycle + 1
-                        sleeping = True if sim._asleep else False
-                        for channel in dirty:
-                            staged = channel._staged
-                            queue = channel._queue
-                            if staged:
-                                ready = cycle + channel.latency
-                                if len(staged) == 1:
-                                    queue.append((ready, staged[0]))
-                                else:
-                                    queue.extend(
-                                        [(ready, item) for item in staged])
-                                staged.clear()
-                            channel._occupancy -= channel._popped_this_cycle
-                            channel._popped_this_cycle = 0
-                            channel._dirty = False
-                            if queue and queue[0][0] > next_cycle:
-                                if heap_push(channel, queue[0][0]):
-                                    heap_pushes += 1
-                            if sleeping:
-                                for component in channel._watchers:
-                                    if component._k_asleep:
-                                        wake(component)
-                        dirty.clear()
-                elif not ran:
-                    horizon = heap.peek_cycle()
-                    for component in sim._awake:
-                        hint = component.next_event_cycle(cycle)
-                        if hint is not None and hint < horizon:
-                            horizon = hint
-                    if horizon > cycle:
-                        sim._quiescent_until = horizon
-                        stats.horizon_scans += 1
+                end_cycle(cycle, ran)
                 sim._cycle = cycle + 1
         finally:
             # fold the cumulative per-shard counters exactly once per
@@ -521,8 +475,6 @@ class ParallelEngine:
             stats.cycles_polled += polled
             stats.cycles_frozen += frozen
             stats.cycles_total += polled + frozen
-            stats.commit_batches += batches
-            stats.commit_channels += committed
             stats.heap_pushes += heap_pushes
 
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the utilization monitor, trace record/replay, and the CLI."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -191,3 +193,14 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             main(["--parallel-backend", "processes", "info"])
         assert exit_info.value.code == 2
+
+    def test_tlm_flag_does_not_leak_into_later_builds(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TLM", raising=False)
+        assert main(["--tlm", "info"]) == 0
+        assert "REPRO_TLM" not in os.environ
+        assert SocSystem.build(ZCU102).sim.tlm is False
+
+    def test_backend_flag_restores_previous_value(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
+        assert main(["--parallel-backend", "inline", "info"]) == 0
+        assert os.environ["REPRO_PARALLEL_BACKEND"] == "threads"
