@@ -133,7 +133,7 @@ def test_parallel_scaling(benchmark):
         f"bursty contention, {BURSTS} bursts x {WINDOW} cycle windows, "
         f"{JOBS_PER_BURST} x {JOB_BYTES} B copies per port per burst,\n"
         f"best of {ROUNDS} warm rounds, serial reference and serial fast "
-        f"vs parallel={WORKERS} (auto backend):\n"
+        f"vs parallel={WORKERS} (inline backend):\n"
         + "\n".join(rows))
     publish("parallel_scaling", text, metrics={
         "wall_ms": BURSTS * WINDOW / reference_8p * 1e3,

@@ -23,25 +23,10 @@ The CI perf-smoke job diffs these sidecars against committed baselines.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Optional
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--parallel", type=int, default=None, metavar="N",
-        help="run every bench with the sharded tick engine at N workers "
-             "(sets REPRO_PARALLEL, which SocSystem.build reads; "
-             "0 = serial)")
-
-
-def pytest_configure(config):
-    workers = config.getoption("--parallel")
-    if workers is not None:
-        os.environ["REPRO_PARALLEL"] = str(workers)
 
 
 def publish(name: str, text: str, metrics: Optional[dict] = None) -> None:

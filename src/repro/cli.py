@@ -6,6 +6,7 @@ experiment harnesses::
     python -m repro latency                         # Fig. 3(a)
     python -m repro access-time --size 16384        # Fig. 3(b) point
     python -m repro case-study --share 70           # Fig. 5 row (HC-70-30)
+    python -m repro case-study --share 50 --tlm     # same, TLM fast-forward
     python -m repro resources --ports 4             # Table I extrapolated
     python -m repro wcrt --bytes 65536 --budget 32 --period 1024
     python -m repro campaign --grid smoke --workers 4 -o results.jsonl
@@ -15,7 +16,6 @@ experiment harnesses::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -27,7 +27,6 @@ from .analysis import (
 )
 from .platforms import PLATFORMS
 from .resources import resource_table
-from .sim.kernel import PARALLEL_BACKENDS
 from .system import (
     measure_access_time,
     measure_channel_latencies,
@@ -92,7 +91,8 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     result = run_case_study(args.interconnect, shares=shares,
                             scale=args.scale,
                             window_cycles=args.window,
-                            platform=platform, parallel=args.parallel)
+                            platform=platform, parallel=args.parallel,
+                            tlm=args.tlm)
     print(f"{label} on {platform.name}: "
           f"CHaiDNN {result.chaidnn_fps:.0f} scaled fps "
           f"({result.chaidnn_frames} frames), "
@@ -200,39 +200,40 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--platform", default="ZCU102",
                         help="platform model (default: ZCU102)")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="sharded tick-engine worker count (0 = "
-                             "serial; default: REPRO_PARALLEL env var)")
-    parser.add_argument("--parallel-backend", default=None,
-                        choices=PARALLEL_BACKENDS,
-                        help="sharded tick-engine backend (default: "
-                             "REPRO_PARALLEL_BACKEND env var, or auto)")
-    parser.add_argument("--tlm", action="store_true",
-                        help="transaction-level fast-forward mode: skip "
-                             "steady-state epochs analytically, demote "
-                             "to cycle-accurate at every unpredictable "
-                             "edge (default: REPRO_TLM env var)")
     commands = parser.add_subparsers(dest="command", required=True)
+    # the experiment subcommands build SocSystems and take the sharded
+    # engine's worker count (inline backend, the library default)
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--parallel", type=int, default=0, metavar="N",
+                        help="sharded tick-engine worker count "
+                             "(default 0 = serial)")
 
     commands.add_parser(
-        "latency", help="Fig. 3(a): per-channel propagation latency"
+        "latency", parents=[engine],
+        help="Fig. 3(a): per-channel propagation latency"
     ).set_defaults(handler=cmd_latency)
 
     access = commands.add_parser(
-        "access-time", help="Fig. 3(b): memory access time per size")
+        "access-time", parents=[engine],
+        help="Fig. 3(b): memory access time per size")
     access.add_argument("--size", type=int, nargs="+",
                         default=[16, 256, 16384],
                         help="transfer sizes in bytes")
     access.set_defaults(handler=cmd_access_time)
 
     case = commands.add_parser(
-        "case-study", help="Fig. 4/5: CHaiDNN + DMA case study")
+        "case-study", parents=[engine],
+        help="Fig. 4/5: CHaiDNN + DMA case study")
     case.add_argument("--interconnect", default="hyperconnect",
                       choices=["hyperconnect", "smartconnect"])
     case.add_argument("--share", type=int, default=None,
                       help="CHaiDNN bandwidth percentage (HC-X-Y)")
     case.add_argument("--window", type=int, default=400_000)
     case.add_argument("--scale", type=float, default=1 / 64)
+    case.add_argument("--tlm", action="store_true",
+                      help="transaction-level fast-forward mode: skip "
+                           "steady-state epochs analytically, demote to "
+                           "cycle-accurate at every unpredictable edge")
     case.set_defaults(handler=cmd_case_study)
 
     resources = commands.add_parser(
@@ -300,30 +301,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _platform(args.platform)   # validate once, before any work
-    if args.parallel is not None and args.parallel < 0:
+    parallel = getattr(args, "parallel", 0)
+    if parallel < 0:
         parser.error("--parallel must be >= 0")
-    if args.tlm and args.parallel:
+    if getattr(args, "tlm", False) and parallel:
         parser.error("--tlm cannot be combined with --parallel N > 0")
-    # the builder reads these env vars, so one flag reaches every
-    # simulator any experiment constructs (same plumbing as
-    # REPRO_PARALLEL for call sites without a backend parameter); they
-    # are restored afterwards so an in-process caller's later builds
-    # keep their own mode
-    overrides = {}
-    if args.parallel_backend is not None:
-        overrides["REPRO_PARALLEL_BACKEND"] = args.parallel_backend
-    if args.tlm:
-        overrides["REPRO_TLM"] = "1"
-    saved = {name: os.environ.get(name) for name in overrides}
-    os.environ.update(overrides)
-    try:
-        return args.handler(args)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    return args.handler(args)
 
 
 if __name__ == "__main__":   # pragma: no cover - module execution path

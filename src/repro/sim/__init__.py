@@ -17,7 +17,7 @@ from .errors import (
 from .events import (EventBus, GrantRevocationEvent, PortFaultEvent,
                      PortRecoveryEvent)
 from .kernel import Simulator
-from .parallel import ParallelEngine, measured_backend
+from .parallel import ParallelEngine
 from .partition import ShardPlan, Stage, build_plan
 from .stats import (
     Histogram,
@@ -51,7 +51,6 @@ __all__ = [
     "Tracer",
     "WakeHeap",
     "ParallelEngine",
-    "measured_backend",
     "ShardPlan",
     "Stage",
     "build_plan",

@@ -69,7 +69,6 @@ class Channel:
         "_push_listeners",
         "_pop_listeners",
         "_watchers",
-        "shard_class",
     )
 
     def __init__(self, sim, name: str, latency: int = 1,
@@ -111,16 +110,6 @@ class Channel:
         #: components to wake when this channel commits activity (built by
         #: the kernel from Component.wake_channels declarations)
         self._watchers: tuple = ()
-        #: partition verdict for the sharded parallel kernel, written by
-        #: repro.sim.partition: ``None`` until a plan is built, then
-        #: ``("internal", key)`` — all touchers live in shard ``key`` —
-        #: ``("boundary", key)`` — shard ``key`` on one side, the hub on
-        #: the other — or ``("hub", None)``.  Purely descriptive: the
-        #: two-phase commit already double-buffers every channel (staged
-        #: pushes are invisible until the serial end-of-cycle commit),
-        #: so boundary channels need no extra synchronization — shards
-        #: can never observe each other's same-cycle writes.
-        self.shard_class: Optional[Tuple[str, Optional[str]]] = None
         sim._register_channel(self)
 
     # ------------------------------------------------------------------

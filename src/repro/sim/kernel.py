@@ -125,8 +125,9 @@ _BACKOFF_MASK_MAX = 0x3F
 #: pay the sleep/wake round trip.
 _SLEEP_AFTER = 32
 
-#: the sharded-engine backends a caller may request (see repro.sim.parallel)
-PARALLEL_BACKENDS = ("auto", "threads", "inline")
+#: the sharded-engine backends a caller may request (see
+#: repro.sim.parallel); the first, ``inline``, is every API's default
+PARALLEL_BACKENDS = ("inline", "threads")
 
 
 def check_parallel_backend(backend: str) -> None:
@@ -167,9 +168,10 @@ class Simulator:
         path either way; the three-way oracle in ``repro.verify``
         enforces this differentially.
     parallel_backend:
-        ``"auto"`` (measure whether a thread pool beats inline staged
-        execution on this host, once per process), ``"threads"``, or
-        ``"inline"``; anything else raises :class:`SimulationError`.
+        ``"inline"`` (the default: staged execution on the calling
+        thread) or ``"threads"`` (a thread pool, which only pays off on
+        a free-threaded interpreter); anything else raises
+        :class:`SimulationError`.
     tlm:
         Transaction-level fast-forward mode (see :mod:`repro.sim.tlm`).
         Implies ``fast``; incompatible with ``parallel``.  Steady-state
@@ -185,7 +187,7 @@ class Simulator:
 
     def __init__(self, name: str = "sim", clock_hz: float = 150e6,
                  fast: bool = False, parallel: int = 0,
-                 parallel_backend: str = "auto", tlm: bool = False) -> None:
+                 parallel_backend: str = "inline", tlm: bool = False) -> None:
         if clock_hz <= 0:
             raise SimulationError("clock_hz must be positive")
         if parallel < 0:
@@ -390,12 +392,6 @@ class Simulator:
         """The current :class:`~repro.sim.partition.ShardPlan` (or None)."""
         engine = self._parallel_engine
         return None if engine is None else engine.plan
-
-    @property
-    def parallel_shard_stats(self):
-        """Per-shard :class:`KernelSkipStats` (empty dict when serial)."""
-        engine = self._parallel_engine
-        return {} if engine is None else dict(engine.shard_stats)
 
     def _reference_cycle(self) -> None:
         """One cycle the long way: tick everything, commit dirty channels."""

@@ -52,36 +52,26 @@ observables match the reference path bit-for-bit either way.
 Backends
 --------
 
+The backend is the caller's argument (``Simulator(parallel_backend=...)``,
+default ``inline``).
+
+``inline``
+    The staged execution on one thread.  All the deferral and barrier
+    machinery still runs, so results are identical to ``threads`` by
+    construction.
 ``threads``
     A persistent :class:`~concurrent.futures.ThreadPoolExecutor`; the
     main thread runs the first group itself.  On a stock (GIL) build
-    pure-Python ticks do not actually overlap, which is why ``auto``
-    measures instead of assuming.
-``inline``
-    The same staged execution on one thread.  All the deferral and
-    barrier machinery still runs, so results are identical to
-    ``threads`` by construction, and the per-shard quiescence tracking
-    (sleep/skip/freeze per port pipeline) still beats the reference
-    path by a wide margin on bursty workloads.
-``auto``
-    Considers the worker count, the CPU count and the interpreter's GIL
-    state, then falls back to a one-off spin-workload calibration
-    (cached per process) that picks ``threads`` only when the measured
-    speedup clears :data:`_CROSSOVER_MARGIN` — a measured crossover,
-    not a guess.  Single-core hosts and GIL builds land on ``inline``.
+    pure-Python ticks do not overlap, so this only pays off on a
+    free-threaded interpreter.
 
-The backend that actually executed is exposed in
-``sim.skip_stats.resolved_backend`` and, with the full decision trail,
-in :attr:`ParallelEngine.backend_resolution` — so a benchmark sidecar
-or a regression bisect can always tell which engine produced a number.
+The requested backend is recorded in ``sim.skip_stats.resolved_backend``
+so a benchmark sidecar can tell which engine produced a number.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from threading import local
 from typing import Dict, List, Optional, Tuple
@@ -90,94 +80,16 @@ from .errors import SimulationError
 from .kernel import (_BACKOFF_AFTER, _BACKOFF_MASK_FIRST, _BACKOFF_MASK_MAX,
                      _SLEEP_AFTER, check_parallel_backend)
 from .partition import ShardPlan, Stage, build_plan
-from .stats import KernelSkipStats
-
-#: measured threads-over-inline speedup required before ``auto`` picks
-#: the thread pool; anything less and dispatch overhead eats the gain
-_CROSSOVER_MARGIN = 1.1
-
-#: process-wide calibration verdicts, keyed by worker count
-_CROSSOVER_CACHE: Dict[int, str] = {}
-
-
-def _gil_enabled() -> Optional[bool]:
-    """Probe the runtime GIL state (PEP 703).
-
-    ``False`` on a free-threaded 3.13+ build running with the GIL
-    disabled, ``True`` when the GIL is active, ``None`` when the
-    interpreter predates the probe (conventional builds, < 3.13).
-    """
-    probe = getattr(sys, "_is_gil_enabled", None)
-    if probe is None:
-        return None
-    return bool(probe())
-
-
-def _spin(iterations: int = 40) -> int:
-    """Pure-Python busy work resembling a group's tick loop.
-
-    Deliberately *not* a GIL-releasing workload: component ticks are
-    pure Python, so a calibration that parallelizes (e.g. ``sleep``)
-    would overstate what the thread pool can deliver.
-    """
-    acc = 0
-    for _ in range(iterations):
-        acc += sum(range(400))
-    return acc
-
-
-def measured_backend(workers: int) -> str:
-    """Pick the best backend for ``workers`` on this host.
-
-    * one worker never benefits from any pool — ``inline``;
-    * on a free-threaded 3.13+ build actually running without the GIL
-      (``sys._is_gil_enabled()`` returns False) and with cores to
-      spare, ``threads`` is genuinely parallel — picked directly, no
-      calibration needed;
-    * otherwise the threads-vs-inline question is *measured* with a
-      GIL-bound spin workload (cached per worker count):
-      on GIL builds and single-core hosts ``inline`` wins, on
-      free-threaded builds with cores to spare ``threads`` wins.
-    """
-    if workers <= 1:
-        return "inline"
-    if _gil_enabled() is False and (os.cpu_count() or 1) > 1:
-        return "threads"
-    cached = _CROSSOVER_CACHE.get(workers)
-    if cached is not None:
-        return cached
-    start = time.perf_counter()
-    for _ in range(workers):
-        _spin()
-    t_inline = time.perf_counter() - start
-
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        pool.submit(_spin, 1).result()  # absorb thread start-up cost
-        start = time.perf_counter()
-        futures = [pool.submit(_spin) for _ in range(workers)]
-        for future in futures:
-            future.result()
-        t_threads = time.perf_counter() - start
-    finally:
-        pool.shutdown(wait=True)
-
-    choice = ("threads"
-              if t_threads > 0 and t_inline / t_threads > _CROSSOVER_MARGIN
-              else "inline")
-    _CROSSOVER_CACHE[workers] = choice
-    return choice
 
 
 class _GroupScratch:
     """Per-(stage, group) working state, reused across cycles."""
 
-    __slots__ = ("key", "members", "member_set", "records", "woke_all",
-                 "wake_targets", "polled", "current_idx", "ran",
-                 "skipped", "slept")
+    __slots__ = ("members", "member_set", "records", "woke_all",
+                 "wake_targets", "polled", "current_idx", "skipped",
+                 "slept")
 
-    def __init__(self, key: str, members: List[Tuple[int, object]]) -> None:
-        self.key = key
+    def __init__(self, members: List[Tuple[int, object]]) -> None:
         self.members = members
         self.member_set = {comp for _idx, comp in members}
         self.records: List[Tuple[int, str, object]] = []
@@ -185,9 +97,8 @@ class _GroupScratch:
         self.wake_targets: set = set()
         self.polled: set = set()
         self.current_idx = -1
-        # cumulative across cycles; folded into the per-shard stats once
-        # per run_to (per-cycle folding costs more than the ticks)
-        self.ran = 0
+        # cumulative across cycles; folded into sim.skip_stats once per
+        # span (per-cycle folding costs more than the ticks)
         self.skipped = 0
         self.slept = 0
 
@@ -199,16 +110,6 @@ class _GroupScratch:
         if self.polled:
             self.polled.clear()
 
-    def flush_stats(self, stats: KernelSkipStats, cycles: int) -> None:
-        stats.ticks_run += self.ran
-        stats.ticks_skipped += self.skipped
-        stats.ticks_slept += self.slept
-        stats.cycles_polled += cycles
-        stats.cycles_total += cycles
-        self.ran = 0
-        self.skipped = 0
-        self.slept = 0
-
 
 class ParallelEngine:
     """Sharded staged executor attached to one :class:`Simulator`.
@@ -218,23 +119,17 @@ class ParallelEngine:
     current wiring yields fewer than two shard groups.
     """
 
-    def __init__(self, sim, workers: int, backend: str = "auto") -> None:
+    def __init__(self, sim, workers: int, backend: str = "inline") -> None:
         if workers < 1:
             raise SimulationError("parallel worker count must be >= 1")
         check_parallel_backend(backend)
         self.sim = sim
         self.workers = workers
         self.backend = backend
-        #: per-shard skip accounting (keys: shard keys plus "hub")
-        self.shard_stats: Dict[str, KernelSkipStats] = {}
         self._plan: Optional[ShardPlan] = None
         self._scratches: Dict[int, List[_GroupScratch]] = {}
         self._schedule: list = []
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._resolved_backend: Optional[str] = None
-        #: requested/resolved/reason decision trail of the last backend
-        #: resolution (attribution for bench sidecars and tests)
-        self.backend_resolution: Dict[str, object] = {}
         self._tls = local()
         # barrier working state (only valid while _barrier runs)
         self._worklist: Optional[list] = None
@@ -243,7 +138,7 @@ class ParallelEngine:
         self._stage_bounds = (0, 0)
         self._barrier_idx = 0
         self._bar_skipped = 0
-        self._resolve_backend()
+        sim.skip_stats.resolved_backend = backend
 
     # ------------------------------------------------------------------
     # plan / backend lifecycle
@@ -265,12 +160,6 @@ class ParallelEngine:
         return self._plan
 
     def _refresh_plan(self) -> None:
-        # fold any counters accumulated under the outgoing plan first
-        for scratch_list in self._scratches.values():
-            for scratch in scratch_list:
-                scratch.flush_stats(
-                    self.shard_stats.setdefault(scratch.key,
-                                                KernelSkipStats()), 0)
         self._plan = build_plan(self.sim)
         self._scratches = {}
         # precompiled walk order: (stage, scratches) with scratches None
@@ -278,45 +167,15 @@ class ParallelEngine:
         self._schedule = []
         for stage_no, stage in enumerate(self._plan.stages):
             if stage.kind == "parallel":
-                scratches = [
-                    _GroupScratch(key, members)
-                    for key, members in stage.groups.items()
-                ]
+                scratches = [_GroupScratch(members)
+                             for members in stage.groups.values()]
                 self._scratches[stage_no] = scratches
                 self._schedule.append((stage, scratches))
             else:
                 self._schedule.append((stage, None))
-        for key in (*self._plan.shard_keys, "hub"):
-            self.shard_stats.setdefault(key, KernelSkipStats())
-
-    # ------------------------------------------------------------------
-    # backend resolution
-    # ------------------------------------------------------------------
-
-    def _resolve_backend(self) -> None:
-        """Decide which backend this engine runs on.
-
-        The decision trail lands in :attr:`backend_resolution` and the
-        verdict in ``sim.skip_stats.resolved_backend``.
-        """
-        requested = self.backend
-        if requested == "auto":
-            resolved, reason = measured_backend(self.workers), "measured"
-        else:
-            resolved, reason = requested, "requested"
-        self._resolved_backend = resolved
-        self.backend_resolution = {
-            "requested": requested,
-            "resolved": resolved,
-            "reason": reason,
-            # PEP 703 probe: False = free-threaded build, GIL off
-            # (threads overlap for real); None = probe unavailable
-            "gil_enabled": _gil_enabled(),
-        }
-        self.sim.skip_stats.resolved_backend = resolved
 
     def _use_threads(self) -> bool:
-        return self._resolved_backend == "threads" and self.workers > 1
+        return self.backend == "threads" and self.workers > 1
 
     def close(self) -> None:
         """Shut the thread pool down (idempotent)."""
@@ -393,7 +252,6 @@ class ParallelEngine:
         polled = 0
         frozen = 0
         heap_pushes = 0
-        hub_ran = 0
         hub_skipped = 0
         hub_slept = 0
         self._bar_skipped = 0
@@ -419,7 +277,6 @@ class ParallelEngine:
                 for stage, scratches in schedule:
                     if scratches is None:
                         r, s, sl, hp = self._run_hub_stage(cycle, stage)
-                        hub_ran += r
                         hub_skipped += s
                         hub_slept += sl
                         heap_pushes += hp
@@ -452,22 +309,16 @@ class ParallelEngine:
                 end_cycle(cycle, ran)
                 sim._cycle = cycle + 1
         finally:
-            # fold the cumulative per-shard counters exactly once per
-            # run (folding per cycle costs more than the ticks saved)
+            # fold the cumulative group counters exactly once per span
+            # (folding per cycle costs more than the ticks saved)
             skipped = hub_skipped + self._bar_skipped
             slept = hub_slept
             for scratch_list in self._scratches.values():
                 for scratch in scratch_list:
                     skipped += scratch.skipped
                     slept += scratch.slept
-                    scratch.flush_stats(self.shard_stats[scratch.key], 0)
-            for key in self.shard_stats:
-                self.shard_stats[key].cycles_polled += polled
-                self.shard_stats[key].cycles_total += polled
-            hub = self.shard_stats["hub"]
-            hub.ticks_run += hub_ran
-            hub.ticks_skipped += hub_skipped
-            hub.ticks_slept += hub_slept
+                    scratch.skipped = 0
+                    scratch.slept = 0
             self._bar_skipped = 0
             stats.ticks_run += ran_total
             stats.ticks_skipped += skipped
@@ -640,7 +491,6 @@ class ParallelEngine:
                         else:
                             component._k_miss = miss
         finally:
-            scratch.ran += ran
             self._tls.ctx = None
         return ran
 
@@ -742,18 +592,12 @@ class ParallelEngine:
     def _barrier_visit(self, component, cycle: int) -> int:
         """The serial visit block for a component re-polled at the
         barrier; cannot re-sleep (its quiet counter was just reset)."""
-        stats = self.shard_stats.get(
-            self._plan.component_keys.get(component) or "hub")
         mask = component._k_mask
         if mask and cycle & mask:
             component.tick(cycle)
-            if stats is not None:
-                stats.ticks_run += 1
             return 1
         if component.is_quiescent(cycle):
             self._bar_skipped += 1
-            if stats is not None:
-                stats.ticks_skipped += 1
             if mask:
                 component._k_mask = mask >> 1
             elif component._k_miss:
@@ -762,8 +606,6 @@ class ParallelEngine:
                 component._k_quiet += 1
             return 0
         component.tick(cycle)
-        if stats is not None:
-            stats.ticks_run += 1
         component._k_quiet = 0
         if mask:
             if mask < _BACKOFF_MASK_MAX:

@@ -31,16 +31,10 @@ derives that independence structure from the wiring:
     (e.g. the hypervisor's interrupt bridge installed by
     ``attach_accelerator``) mutates shared state from inside its tick.
 
-Channel classification is purely descriptive — the two-phase commit
+Channels need no partitioning of their own: the two-phase commit
 already double-buffers every channel (staged pushes are invisible until
-the serial end-of-cycle commit), so *boundary* channels need no extra
-synchronization — but it is stamped on ``Channel.shard_class`` for
-introspection and asserted on by tests:
-
-* ``("internal", key)`` — every watcher lives in shard ``key``;
-* ``("boundary", key)`` — shard ``key`` on one side, the hub on the
-  other (e.g. a TS output read by the EXBAR);
-* ``("hub", None)`` — no non-hub watcher at all.
+the serial end-of-cycle commit), so a channel between a shard and the
+hub needs no extra synchronization.
 
 The tick schedule is derived from **registration order**: maximal runs
 of same-kind components (shard-affine vs hub) become stages, executed in
@@ -141,8 +135,6 @@ class ShardPlan:
     component_index: Dict[Any, int]
     #: all distinct non-hub shard keys
     shard_keys: List[str]
-    #: channel name -> shard_class verdict (mirrors Channel.shard_class)
-    channel_classes: Dict[str, Tuple[str, Optional[str]]]
     #: why components were demoted to the hub, for diagnostics
     demotions: Dict[str, str] = field(default_factory=dict)
 
@@ -151,41 +143,6 @@ class ShardPlan:
         """True when at least one stage can fan out to >= 2 workers."""
         return any(stage.kind == "parallel" and len(stage.groups) >= 2
                    for stage in self.stages)
-
-    @property
-    def max_width(self) -> int:
-        """Largest group count of any parallel stage."""
-        widths = [len(stage.groups) for stage in self.stages
-                  if stage.kind == "parallel"]
-        return max(widths) if widths else 0
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-friendly summary (used by tests, the CLI, and docs)."""
-        class_counts: Dict[str, int] = {"internal": 0, "boundary": 0,
-                                        "hub": 0}
-        for verdict, _key in self.channel_classes.values():
-            class_counts[verdict] += 1
-        return {
-            "parallelizable": self.parallelizable,
-            "max_width": self.max_width,
-            "shards": {
-                key: sum(1 for k in self.component_keys.values()
-                         if k == key)
-                for key in self.shard_keys
-            },
-            "hub_components": sum(
-                1 for k in self.component_keys.values() if k is None),
-            "stages": [
-                {"kind": stage.kind,
-                 "size": (len(stage.members) if stage.kind == "hub"
-                          else sum(len(m) for m in stage.groups.values())),
-                 "groups": (sorted(stage.groups) if stage.kind == "parallel"
-                            else [])}
-                for stage in self.stages
-            ],
-            "channels": class_counts,
-            "demotions": dict(self.demotions),
-        }
 
 
 def _demotion_reason(component: Any, declared) -> Optional[str]:
@@ -266,20 +223,6 @@ def build_plan(sim) -> ShardPlan:
     shard_keys = sorted({key for key in component_keys.values()
                          if key is not None})
 
-    # --- channel classification (descriptive; see module docstring) ---
-    channel_classes: Dict[str, Tuple[str, Optional[str]]] = {}
-    for channel in sim._channels:
-        watcher_keys = {component_keys[w] for w in channel._watchers}
-        non_hub = sorted(k for k in watcher_keys if k is not None)
-        if not non_hub:
-            verdict: Tuple[str, Optional[str]] = ("hub", None)
-        elif None in watcher_keys:
-            verdict = ("boundary", non_hub[0])
-        else:
-            verdict = ("internal", non_hub[0])
-        channel.shard_class = verdict
-        channel_classes[channel.name] = verdict
-
     # --- registration-order stage schedule ----------------------------
     stages: List[Stage] = []
     for idx, comp in enumerate(components):
@@ -296,6 +239,4 @@ def build_plan(sim) -> ShardPlan:
 
     return ShardPlan(stages=stages, component_keys=component_keys,
                      component_index=component_index,
-                     shard_keys=shard_keys,
-                     channel_classes=channel_classes,
-                     demotions=demotions)
+                     shard_keys=shard_keys, demotions=demotions)

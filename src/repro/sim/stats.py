@@ -184,10 +184,10 @@ class KernelSkipStats:
         self.heap_pops = 0
         self.commit_batches = 0
         self.commit_channels = 0
-        # which parallel backend actually executed ("inline", "threads",
-        # or None when the serial path ran); written by the
-        # parallel engine's backend resolution so bench sidecars and
-        # regressions are attributable to the engine that produced them
+        # which parallel backend was requested ("inline", "threads", or
+        # None when no sharded engine was built); written by the
+        # parallel engine so bench sidecars and regressions are
+        # attributable to the engine that produced them
         self.resolved_backend = None
         # transaction-level fast-forward accounting (Simulator(tlm=True))
         self.tlm_epochs = 0

@@ -19,7 +19,6 @@ This is the library's main entry point::
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Union
 
 from ..axi.port import AxiLink
@@ -65,9 +64,9 @@ class SocSystem:
               period: int = 65536, with_store: bool = False,
               max_granularity: Optional[int] = None,
               name: str = "soc", fast: bool = False,
-              parallel: Optional[int] = None,
-              parallel_backend: Optional[str] = None,
-              tlm: Optional[bool] = None) -> "SocSystem":
+              parallel: int = 0,
+              parallel_backend: str = "inline",
+              tlm: bool = False) -> "SocSystem":
         """Assemble a system.
 
         Parameters
@@ -92,30 +91,17 @@ class SocSystem:
             results, fewer Python-level ticks; see ``repro.sim.kernel``).
         parallel:
             Worker count for the sharded parallel tick engine (same
-            results again; see ``repro.sim.parallel``).  ``None`` reads
-            the ``REPRO_PARALLEL`` environment variable (default 0,
-            i.e. disabled), so whole experiment suites can be switched
-            over without touching call sites.
+            results again; see ``repro.sim.parallel``); 0, the default,
+            disables it.
         parallel_backend:
-            Engine backend for the sharded tick engine ("auto",
-            "inline", or "threads").  ``None`` reads the
-            ``REPRO_PARALLEL_BACKEND`` environment variable (default
-            "auto"), mirroring ``REPRO_PARALLEL``.
+            Engine backend for the sharded tick engine: "inline" (the
+            default) or "threads".
         tlm:
             Transaction-level fast-forward mode (see ``repro.sim.tlm``):
             steady-state reservation traffic advances one epoch per
             step, demoting to cycle-accurate execution at every
-            non-predictable edge.  ``None`` reads the ``REPRO_TLM``
-            environment variable (default off), mirroring
-            ``REPRO_PARALLEL``.
+            non-predictable edge.
         """
-        if parallel is None:
-            parallel = int(os.environ.get("REPRO_PARALLEL", "0") or 0)
-        if parallel_backend is None:
-            parallel_backend = os.environ.get(
-                "REPRO_PARALLEL_BACKEND", "auto") or "auto"
-        if tlm is None:
-            tlm = os.environ.get("REPRO_TLM", "") not in ("", "0")
         sim = Simulator(name, clock_hz=platform.pl_clock_hz, fast=fast,
                         parallel=parallel,
                         parallel_backend=parallel_backend, tlm=tlm)

@@ -57,7 +57,7 @@ class ChannelLatencies:
 def measure_channel_latencies(interconnect: str,
                               platform: Platform = ZCU102,
                               fast: bool = False,
-                              parallel: Optional[int] = None,
+                              parallel: int = 0,
                               ) -> ChannelLatencies:
     """Fig. 3(a) procedure: per-channel propagation in isolation.
 
@@ -92,7 +92,7 @@ def measure_channel_latencies(interconnect: str,
 def measure_access_time(interconnect: str, nbytes: int,
                         platform: Platform = ZCU102,
                         fast: bool = False,
-                        parallel: Optional[int] = None) -> int:
+                        parallel: int = 0) -> int:
     """Fig. 3(b) procedure: memory access time for one transfer size.
 
     A single DMA reads ``nbytes`` through an otherwise idle system; the
@@ -139,8 +139,8 @@ def run_case_study(interconnect: str,
                    period: int = 2048,
                    dma_burst_len: int = 64,
                    fast: bool = False,
-                   parallel: Optional[int] = None,
-                   tlm: Optional[bool] = None) -> CaseStudyResult:
+                   parallel: int = 0,
+                   tlm: bool = False) -> CaseStudyResult:
     """Sections VI-C procedure: CHaiDNN (port 0) + greedy DMA (port 1).
 
     ``shares`` maps port index to a reserved bandwidth fraction (the

@@ -243,13 +243,13 @@ def _arm_churn(hypervisor: Hypervisor, scenario: Scenario,
 
 def build_system(scenario: Scenario, fast: bool,
                  parallel: int = 0,
-                 parallel_backend: str = "auto",
+                 parallel_backend: str = "inline",
                  tlm: bool = False) -> System:
     """Instantiate the scenario's topology family on a fresh simulator.
 
     ``parallel`` is the sharded-engine worker count (0 = serial) and
-    ``parallel_backend`` selects its engine ("auto" / "inline" /
-    "threads"); together they form the candidate legs of
+    ``parallel_backend`` selects its engine ("inline" / "threads");
+    together they form the candidate legs of
     the kernel-equivalence oracle, exercised against the reference and
     serial-fast legs by ``check_equivalence``.  ``tlm`` enables the
     transaction-level fast-forward mode, the candidate leg of the
@@ -478,7 +478,7 @@ def run_system(system: System) -> RunResult:
 
 def run_scenario(scenario: Scenario, fast: bool,
                  parallel: int = 0,
-                 parallel_backend: str = "auto",
+                 parallel_backend: str = "inline",
                  tlm: bool = False) -> RunResult:
     """Convenience: build then run."""
     return run_system(build_system(scenario, fast, parallel=parallel,

@@ -628,14 +628,8 @@ def dump_falsifying_example(scenario: Scenario, oracle: str) -> Path:
 
 
 def equivalence_label(parallel: int, backend: str) -> str:
-    """The candidate-leg label for one sharded-engine configuration.
-
-    ``"auto"`` keeps the historic bare ``parallel=N`` label (corpus
-    digests and falsifying-example messages pin it); explicit backends
-    are named so a violation says which engine diverged.
-    """
-    if backend == "auto":
-        return f"parallel={parallel}"
+    """The candidate-leg label for one sharded-engine configuration;
+    the backend is named so a violation says which engine diverged."""
     return f"parallel={parallel}:{backend}"
 
 
@@ -664,14 +658,14 @@ def scenario_path_digests(scenario: Scenario, parallel: int = 2,
 def evaluate_scenario(scenario: Scenario,
                       checks: tuple = DEFAULT_CHECKS,
                       parallel: int = 2,
-                      parallel_backends: Optional[tuple] = None,
+                      parallel_backends: tuple = ("inline",),
                       ) -> RunResult:
     """Run the selected oracle families on one scenario.
 
     ``checks`` subsets :data:`ALL_CHECKS`; "equivalence" runs the
     scenario on the fast kernel path and — with ``parallel`` > 0 — on
     the sharded parallel engine once per entry of ``parallel_backends``
-    (default ``("auto",)``), against the reference; "tlm" adds the
+    (default ``("inline",)``), against the reference; "tlm" adds the
     transaction-level fast-forward leg (:func:`check_tlm`);
     "containment" additionally runs the fault-free baseline when the
     analytic bound applies.  Raises :class:`OracleViolation` on the
@@ -682,8 +676,6 @@ def evaluate_scenario(scenario: Scenario,
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown oracle checks {sorted(unknown)}")
-    if parallel_backends is None:
-        parallel_backends = ("auto",)
     reference = run_scenario(scenario, fast=False)
     if "equivalence" in checks:
         fast = run_scenario(scenario, fast=True)

@@ -2,7 +2,8 @@
 
 ``pyproject.toml`` declares no runtime dependencies; these tests keep
 that true in practice: importing the public packages must not pull in
-a third-party numerics stack behind the user's back.
+a third-party numerics stack behind the user's back, and nothing but
+explicit arguments picks an execution engine.
 """
 
 import os
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.verify.oracles import ARTIFACT_DIR_ENV
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +33,17 @@ def test_import_leaves_numpy_unloaded():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_library_reads_no_mode_env_vars():
+    """Engines are chosen by argument only: the sole environment
+    variable the library reads is the falsifying-example directory."""
+    package = Path(repro.__file__).resolve().parent
+    reads = [f"{path.relative_to(package)}:{number}: {line.strip()}"
+             for path in sorted(package.rglob("*.py"))
+             for number, line in enumerate(
+                 path.read_text().splitlines(), 1)
+             if re.search(r"\b(environ|getenv)\b", line)]
+    assert ARTIFACT_DIR_ENV == "VERIFY_ARTIFACT_DIR"
+    assert reads and all("ARTIFACT_DIR_ENV" in read for read in reads), \
+        reads

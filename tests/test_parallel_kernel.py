@@ -6,20 +6,18 @@ workload — the sharding, the stage barriers, and the deferred wake
 replay are pure scheduling, never semantics.  The fine-grained
 fingerprint sweep lives in ``tests/test_kernel_equivalence.py`` and the
 corpus replay in ``tests/test_verify_corpus.py``; this module covers
-the engine's own machinery: fallback, backends, backend resolution,
-per-shard stats, lifecycle, and the ``run_until`` stop-cycle guarantee.
+the engine's own machinery: fallback, backends, backend selection,
+skip accounting, lifecycle, and the ``run_until`` stop-cycle guarantee.
 """
-
-import os
-import sys
 
 import pytest
 
 from repro.masters import AxiDma
 from repro.platforms import ZCU102
-from repro.sim import ParallelEngine, Simulator, measured_backend
+from repro.sim import ParallelEngine, Simulator
 from repro.sim import parallel as parallel_mod
 from repro.sim.errors import SimulationError
+from repro.sim.kernel import PARALLEL_BACKENDS
 from repro.system import SocSystem
 
 
@@ -128,28 +126,23 @@ class TestRunUntil:
             soc.sim.run_until(lambda: False, max_cycles=500)
 
 
-class TestShardStats:
-    def test_per_shard_stats_populated(self):
+class TestSkipAccounting:
+    def test_group_counters_fold_into_skip_stats(self):
         __, soc = run_and_sign(n_ports=2, parallel=2, backend="inline")
-        stats = soc.sim.parallel_shard_stats
-        assert "hub" in stats
-        shard_keys = set(soc.sim.parallel_plan.shard_keys)
-        assert shard_keys and shard_keys <= set(stats)
-        for key, shard in stats.items():
-            assert shard.cycles_total > 0, key
-        assert stats["hub"].ticks_run > 0
-        assert any(stats[key].ticks_run > 0 for key in shard_keys)
+        stats = soc.sim.skip_stats
+        assert stats.cycles_total == soc.sim.now
+        assert stats.cycles_polled + stats.cycles_frozen == soc.sim.now
+        assert stats.ticks_run > 0
 
     def test_sleeping_shards_accumulate_slept_ticks(self):
         __, soc = run_and_sign(n_ports=2, parallel=2, backend="inline",
                                cycles=40_000)
-        stats = soc.sim.parallel_shard_stats
-        slept = sum(s.ticks_slept for s in stats.values())
-        assert slept > 0   # the post-drain tail must not be ticked
+        # the post-drain tail must not be ticked
+        assert soc.sim.skip_stats.ticks_slept > 0
 
-    def test_serial_sim_reports_empty_stats(self):
+    def test_serial_sim_reports_no_backend(self):
         __, soc = run_and_sign(parallel=0)
-        assert soc.sim.parallel_shard_stats == {}
+        assert soc.sim.skip_stats.resolved_backend is None
         assert soc.sim.parallel_plan is None
 
 
@@ -165,24 +158,13 @@ class TestLifecycleAndValidation:
 
     def test_unknown_backend_rejected(self):
         sim = Simulator("t", clock_hz=ZCU102.pl_clock_hz)
-        choices = "expected one of: auto, threads, inline"
-        for backend in ("fibers", "processes"):
+        choices = "expected one of: inline, threads"
+        for backend in ("auto", "fibers", "processes"):
             with pytest.raises(SimulationError, match=choices):
                 ParallelEngine(sim, 2, backend=backend)
             with pytest.raises(SimulationError, match=choices):
                 SocSystem.build(ZCU102, parallel=2,
                                 parallel_backend=backend)
-
-    def test_env_var_switches_builds_over(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "3")
-        soc = SocSystem.build(ZCU102, n_ports=2)
-        assert soc.sim.parallel == 3
-        monkeypatch.setenv("REPRO_PARALLEL", "")
-        soc = SocSystem.build(ZCU102, n_ports=2)
-        assert soc.sim.parallel == 0
-        monkeypatch.delenv("REPRO_PARALLEL")
-        soc = SocSystem.build(ZCU102, n_ports=2, parallel=4)
-        assert soc.sim.parallel == 4
 
     def test_finish_closes_worker_pool(self):
         __, soc = run_and_sign(parallel=2, backend="threads")
@@ -201,37 +183,23 @@ class TestLifecycleAndValidation:
 
 
 class TestResolution:
-    def test_single_worker_stays_inline(self):
-        assert measured_backend(1) == "inline"
-        __, soc = run_and_sign(parallel=1)
+    def test_default_backend_is_inline(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("inline backend created a thread pool")
+
+        monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", no_pool)
+        assert PARALLEL_BACKENDS[0] == "inline"
+        __, soc = run_and_sign(parallel=3)
+        engine = soc.sim._parallel_engine
+        assert engine.backend == "inline"
+        assert engine._executor is None
         assert soc.sim.skip_stats.resolved_backend == "inline"
-        resolution = soc.sim._parallel_engine.backend_resolution
-        assert resolution["requested"] == "auto"
-        assert resolution["reason"] == "measured"
 
-    def test_gil_probe_reported(self):
-        probe = getattr(sys, "_is_gil_enabled", None)
-        if probe is None:
-            assert parallel_mod._gil_enabled() is None   # pre-3.13 build
-        else:
-            assert parallel_mod._gil_enabled() is bool(probe())
-
-    def test_free_threaded_build_picks_threads(self, monkeypatch):
-        """PEP 703 gate: no spin calibration on a GIL-free interpreter."""
-        monkeypatch.setattr(parallel_mod.sys, "_is_gil_enabled",
-                            lambda: False, raising=False)
-        if (os.cpu_count() or 1) > 1:
-            assert measured_backend(4) == "threads"
-        # a GIL-enabled probe must keep the measured verdict instead
-        monkeypatch.setattr(parallel_mod.sys, "_is_gil_enabled",
-                            lambda: True, raising=False)
-        assert measured_backend(4) in ("threads", "inline")
-
-    def test_resolution_trail_records_gil_probe(self):
-        __, soc = run_and_sign(parallel=2, backend="threads")
-        resolution = soc.sim._parallel_engine.backend_resolution
-        assert resolution["requested"] == resolution["resolved"] == "threads"
-        assert resolution["gil_enabled"] in (True, False, None)
+    @pytest.mark.parametrize("backend", ["inline", "threads"])
+    def test_requested_backend_is_reported(self, backend):
+        __, soc = run_and_sign(parallel=2, backend=backend)
+        assert soc.sim.skip_stats.resolved_backend == backend
+        assert soc.sim.skip_stats.as_dict()["resolved_backend"] == backend
         soc.sim.finish()
 
     def test_unknown_backend_still_rejected(self):

@@ -169,7 +169,7 @@ class TestDriverRegionRegisters:
             soc.driver.set_region_filter(0, -4096, 4096)
 
 
-def _reprogram_run(fast, parallel=0, parallel_backend="auto"):
+def _reprogram_run(fast, parallel=0, parallel_backend="inline"):
     """Build-run-reprogram-run on one kernel path; return observables.
 
     Three filtered ports stream traffic; mid-run the driver widens

@@ -1,9 +1,8 @@
 """Tests for the utilization monitor, trace record/replay, and the CLI."""
 
-import os
-
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.masters import (
     AxiDma,
@@ -14,7 +13,7 @@ from repro.masters import (
 )
 from repro.platforms import ZCU102
 from repro.sim import ConfigurationError
-from repro.system import BusUtilizationMonitor, SocSystem
+from repro.system import BusUtilizationMonitor, SocSystem, run_case_study
 
 from conftest import drain
 
@@ -179,28 +178,40 @@ class TestCli:
 
     def test_parallel_with_tlm_rejected(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["--parallel", "2", "--tlm", "latency"])
+            main(["case-study", "--parallel", "2", "--tlm"])
         assert exit_info.value.code == 2
         assert "--tlm" in capsys.readouterr().err
 
     def test_negative_parallel_rejected(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["--parallel", "-1", "latency"])
+            main(["latency", "--parallel", "-1"])
         assert exit_info.value.code == 2
         assert "--parallel must be >= 0" in capsys.readouterr().err
 
-    def test_processes_backend_rejected(self):
+    @pytest.mark.parametrize("argv", [
+        ["--tlm", "info"],
+        ["--parallel", "2", "info"],
+        ["campaign", "--tlm", "--list"],
+        ["latency", "--tlm"],
+        ["case-study", "--parallel-backend", "threads"],
+    ], ids=" ".join)
+    def test_engine_flag_outside_its_subcommand_rejected(self, argv):
+        """An engine flag a subcommand would ignore is an argparse
+        error, not a silent no-op."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["--parallel-backend", "processes", "info"])
+            main(argv)
         assert exit_info.value.code == 2
 
-    def test_tlm_flag_does_not_leak_into_later_builds(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TLM", raising=False)
-        assert main(["--tlm", "info"]) == 0
-        assert "REPRO_TLM" not in os.environ
-        assert SocSystem.build(ZCU102).sim.tlm is False
+    def test_case_study_passes_engine_flags(self, monkeypatch):
+        seen = []
 
-    def test_backend_flag_restores_previous_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
-        assert main(["--parallel-backend", "inline", "info"]) == 0
-        assert os.environ["REPRO_PARALLEL_BACKEND"] == "threads"
+        def fake_case_study(interconnect, **kwargs):
+            seen.append((kwargs["parallel"], kwargs["tlm"]))
+            return run_case_study(interconnect, window_cycles=2_000,
+                                  scale=0.01)
+
+        monkeypatch.setattr(cli, "run_case_study", fake_case_study)
+        assert main(["case-study", "--tlm"]) == 0
+        assert main(["case-study", "--parallel", "2"]) == 0
+        assert main(["case-study"]) == 0
+        assert seen == [(0, True), (2, False), (0, False)]

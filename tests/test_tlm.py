@@ -72,13 +72,16 @@ class TestModeSelection:
         with pytest.raises(SimulationError):
             Simulator("t", tlm=True, parallel=2)
 
-    def test_builder_reads_env(self, monkeypatch):
+    def test_builder_ignores_mode_env_vars(self, monkeypatch):
+        """Engines are chosen by argument only: the retired mode
+        variables must not switch a default build over."""
         monkeypatch.setenv("REPRO_TLM", "1")
-        assert SocSystem.build(ZCU102, n_ports=2).sim.tlm
-        monkeypatch.setenv("REPRO_TLM", "0")
-        assert not SocSystem.build(ZCU102, n_ports=2).sim.tlm
-        monkeypatch.delenv("REPRO_TLM")
-        assert not SocSystem.build(ZCU102, n_ports=2).sim.tlm
+        monkeypatch.setenv("REPRO_PARALLEL", "1")
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
+        sim = SocSystem.build(ZCU102).sim
+        assert sim.tlm is False
+        assert sim.parallel == 0
+        assert sim.parallel_backend == "inline"
 
 
 class TestEngagement:
