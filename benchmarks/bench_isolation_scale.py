@@ -4,11 +4,14 @@ The tenant-isolation tentpole claims containment stays graceful as the
 domain count grows: dozens of tenants, several simultaneously faulted,
 healthy tenants bit-identical to their fault-free baseline.  This bench
 measures what that verification costs — full oracle-stack evaluation
-(reference + fast kernel + fault-free baseline + isolation checks) of a
-mixed fault storm at 8, 16, 32 and 64 domains — and gates the scaling
-shape: simulated cycles/sec through the 64-domain storm must stay within
-an order of magnitude of the 8-domain rate (per-port work is constant,
-so the kernel must not degrade super-linearly with tenant count).
+of a mixed fault storm at 8, 16, 32 and 64 domains: the storm once on
+the reference kernel and once on the fast kernel, the fault-free
+baseline on the fast kernel (a twin is not under test, and the
+equivalence oracle holds the fast kernel bit-identical to the
+reference), then the isolation checks — and gates the scaling shape:
+simulated cycles/sec through the 64-domain storm must stay within an
+order of magnitude of the 8-domain rate (per-port work is constant, so
+the kernel must not degrade super-linearly with tenant count).
 """
 
 import time

@@ -7,10 +7,10 @@ containment bound:
    (genuinely or via synthesized error responses) within the run;
 2. **protocol** — strict :class:`~repro.axi.LinkChecker` monitors on
    every compliant master's port stay clean;
-3. **equivalence** — the labeled kernel paths (reference, fast, and
-   the sharded engine on its threads backend) produce
-   bit-identical observables (traffic, events, fault statistics,
-   elapsed time);
+3. **equivalence** — the fast kernel (and any requested sharded
+   backend) reproduces the reference run bit for bit (traffic, events,
+   fault statistics, elapsed time), so the twins of 4-5 run on it: the
+   reference kernel runs once per scenario;
 4. **containment bound** — for single-rogue-master scenarios the
    measured healthy-port completion delta against the fault-free
    baseline respects
@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import Dict, Optional, Set
 
 from ..analysis import ContainmentBound
+from ..platforms import ZCU102
 from .harness import CHURN_WRITE_BYTES, RunResult, churn_pattern, run_scenario
 from .scenario import Scenario, canonical_json
 
@@ -200,7 +201,6 @@ def containment_bound_for(scenario: Scenario) -> Optional[ContainmentBound]:
     if timeout is None:
         return None
     from .harness import OOO_TIMING
-    from ..platforms import ZCU102
     timing = OOO_TIMING if scenario.family == "ooo" else ZCU102.dram
     return ContainmentBound(
         n_ports=len(scenario.ports), nominal_burst=16, memory=timing,
@@ -250,7 +250,6 @@ def isolation_bound_for(scenario: Scenario) -> Optional[ContainmentBound]:
         if plan.timeout is None:
             return None  # undetectable fault: no analytic bound
         timeouts.append(plan.timeout)
-    from ..platforms import ZCU102
     return ContainmentBound(
         n_ports=len(scenario.ports), nominal_burst=16,
         memory=ZCU102.dram,
@@ -354,7 +353,6 @@ def churn_delay_bound_for(scenario: Scenario) -> int:
     most ``CHURN_WRITE_BYTES`` = 32 beats on the 16-byte bus), charged
     as up to 64 beats of extra round-robin interference per port.
     """
-    from ..platforms import ZCU102
     n_ops = len(scenario.churn or ())
     bound = ContainmentBound(
         n_ports=len(scenario.ports), nominal_burst=16,
@@ -667,10 +665,10 @@ def evaluate_scenario(scenario: Scenario,
     the sharded parallel engine once per entry of ``parallel_backends``
     (default ``("inline",)``), against the reference; "tlm" adds the
     transaction-level fast-forward leg (:func:`check_tlm`);
-    "containment" additionally runs the fault-free baseline when the
-    analytic bound applies.  Raises :class:`OracleViolation` on the
-    first falsified oracle; returns the reference run.  This is the
-    worker body of the campaign runner (:mod:`repro.verify.campaign`),
+    "containment" and "isolation" add their twins (:func:`_run_twin`).
+    Raises :class:`OracleViolation` on the first falsified oracle;
+    returns the reference run (the one reference-kernel run).  This is
+    the worker body of the campaign runner (:mod:`repro.verify.campaign`),
     which records violations as verdicts instead of raising.
     """
     unknown = set(checks) - set(ALL_CHECKS)
@@ -695,24 +693,27 @@ def evaluate_scenario(scenario: Scenario,
         check_liveness(scenario, reference)
     if "protocol" in checks:
         check_protocol(scenario, reference)
-    baseline: Optional[RunResult] = None
-    if ("containment" in checks
-            and containment_bound_for(scenario) is not None):
-        baseline = run_scenario(scenario.baseline(), fast=False)
-        check_containment_bound(scenario, reference, baseline)
-    if ("isolation" in checks and scenario.is_tenanted
-            and scenario.rogue_indices):
-        if baseline is None:
-            baseline = run_scenario(scenario.baseline(), fast=False)
-        check_isolation(scenario, reference, baseline)
+    if (("containment" in checks
+         and containment_bound_for(scenario) is not None)
+            or ("isolation" in checks and scenario.is_tenanted
+                and scenario.rogue_indices)):
+        baseline = _run_twin(scenario.baseline())
+        if "containment" in checks:
+            check_containment_bound(scenario, reference, baseline)
+        if "isolation" in checks:
+            check_isolation(scenario, reference, baseline)
     if "isolation" in checks and scenario.churn is not None:
         # the stale-window oracle's twin strips *only* the churn (the
         # fault storm stays), unlike baseline() which keeps churn and
         # strips faults — the two twins probe orthogonal properties
-        churnfree = run_scenario(replace(scenario, churn=None),
-                                 fast=False)
-        check_stale_window(scenario, reference, churnfree)
+        check_stale_window(scenario, reference,
+                           _run_twin(replace(scenario, churn=None)))
     return reference
+
+
+def _run_twin(twin: Scenario) -> RunResult:
+    """Oracle twins run on the fast kernel, bit-identical to reference."""
+    return run_scenario(twin, fast=True)
 
 
 def check_scenario(scenario: Scenario, parallel: int = 2,
@@ -723,10 +724,9 @@ def check_scenario(scenario: Scenario, parallel: int = 2,
     Runs the scenario on every labeled kernel path — reference, fast,
     and the sharded parallel engine once per backend in
     ``parallel_backends`` (default threads; ``parallel`` = 0 skips the
-    sharded legs) — plus the fault-free baseline (reference path) when
-    the containment bound applies.  On violation, the scenario is
-    dumped to the artifact directory and the :class:`OracleViolation`
-    re-raised for hypothesis to shrink.
+    sharded legs) — plus the oracles' twins on the fast path.  On
+    violation, the scenario is dumped to the artifact directory and the
+    :class:`OracleViolation` re-raised for hypothesis to shrink.
     """
     try:
         return evaluate_scenario(scenario, parallel=parallel,
